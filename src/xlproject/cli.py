@@ -33,6 +33,7 @@ from .metrics import build_report, normalize_attributions
 from .projection import MarkerScheme, TriggerSpan, project_corpus, spans_from_mask
 from .training import (
     LoraConfig,
+    MissingLabelsError,
     TrainConfig,
     TrainConfigError,
     load_model,
@@ -361,6 +362,9 @@ def cmd_train(args, config) -> None:
     )
     try:
         trained = train(corpus, args.task, train_config, validation=validation)
+    except MissingLabelsError as exc:
+        path = args.validation if exc.role == "validation" else args.input
+        raise DataError(f"{path}: {exc}") from exc
     except ValueError as exc:
         if isinstance(exc, TrainConfigError):
             raise
@@ -416,13 +420,24 @@ def cmd_evaluate(args, config) -> None:
     if not predictions_path.exists():
         raise DataError(f"predictions file not found: {args.predictions}")
     by_id: dict[str, dict] = {}
+    line_of: dict[str, int] = {}
     with open(predictions_path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            record = json.loads(line)
-            if "id" not in record:
-                raise DataError(f"predictions line {lineno}: missing 'id'")
+            where = f"{args.predictions} line {lineno}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{where}: invalid JSON: {exc.msg}") from None
+            if not isinstance(record, dict) or not isinstance(record.get("id"), str):
+                raise DataError(f"{where}: expected an object with a string 'id'")
+            if record["id"] in line_of:
+                raise DataError(
+                    f"{where}: duplicate id {record['id']!r}, "
+                    f"first at line {line_of[record['id']]}"
+                )
+            line_of[record["id"]] = lineno
             by_id[record["id"]] = record
 
     missing = [s.id for s in gold.sentences if s.id not in by_id]

@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import EMOTION_ORDER, AnnotatedSentence, Corpus, EmotionLabel
-from .features import DEFAULT_FEATURE_DIM, DEFAULT_SALT, HashedNgramFeaturizer
+from .features import DEFAULT_FEATURE_DIM, DEFAULT_SALT, FeatureVector, HashedNgramFeaturizer
 from .metrics import corpus_token_f1, macro_f1
 from .model import (
     LinearModel,
@@ -67,6 +68,10 @@ class TrainConfig:
             raise TrainConfigError("lora rank must be >= 1")
         if self.feature_dim < 2:
             raise TrainConfigError("feature_dim must be >= 2")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise TrainConfigError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}"
+            )
 
 
 @dataclass
@@ -94,11 +99,25 @@ class TrainedModel:
         return numeric_from_logits(self._word_logits(sentence)).values
 
 
+class MissingLabelsError(ValueError):
+    """A corpus given to :func:`train` has sentences without the task's labels."""
+
+    def __init__(self, role: str, label: str, ids: list[str]):
+        super().__init__(f"{role} corpus: {len(ids)} sentences missing {label}: {ids[:5]}")
+        self.role = role
+
+
+def _check_labels(corpus: Corpus, task: str, role: str) -> None:
+    attr, label = (
+        ("emotion", "emotion label") if task == "emotion" else ("trigger_mask", "trigger mask")
+    )
+    missing = [s.id for s in corpus.sentences if getattr(s, attr) is None]
+    if missing:
+        raise MissingLabelsError(role, label, missing)
+
+
 def _emotion_instances(featurizer, corpus: Corpus):
     label_index = {label: i for i, label in enumerate(EMOTION_ORDER)}
-    missing = [s.id for s in corpus.sentences if s.emotion is None]
-    if missing:
-        raise ValueError(f"sentences missing emotion label: {missing[:5]}")
     return [
         (featurizer.sentence_features(s.tokens), label_index[s.emotion])
         for s in corpus.sentences
@@ -106,14 +125,21 @@ def _emotion_instances(featurizer, corpus: Corpus):
 
 
 def _trigger_instances(featurizer, corpus: Corpus):
-    missing = [s.id for s in corpus.sentences if s.trigger_mask is None]
-    if missing:
-        raise ValueError(f"sentences missing trigger mask: {missing[:5]}")
     instances = []
     for sent in corpus.sentences:
         for x, label in zip(featurizer.token_features(sent.tokens), sent.trigger_mask):
             instances.append((x, label))
     return instances
+
+
+def _compact(instances):
+    """The sorted feature columns the instances touch, and the instances
+    re-indexed onto ``0..K-1`` in that order."""
+    cols = np.unique(np.concatenate([x.indices for x, _ in instances]))
+    return cols, [
+        (FeatureVector(np.searchsorted(cols, x.indices), x.values, len(cols)), label)
+        for x, label in instances
+    ]
 
 
 def _validation_score(trained: TrainedModel, validation: Corpus) -> float:
@@ -130,94 +156,125 @@ def train(
     task: str,
     config: TrainConfig,
     validation: Corpus | None = None,
-    init_model: LinearModel | None = None,
 ) -> TrainedModel:
     """Train a head for one task; deterministic for a fixed seed.
 
     With a validation corpus the returned parameters are the best epoch's
     (ties go to the earlier epoch); otherwise the final epoch's. With an
-    adapter configured the base weights stay frozen and only A, B, and the
-    bias train.
+    adapter configured the zero base weights stay frozen and only A, B, and
+    the bias train.
+
+    Only the feature columns some training instance touches are trained. Any
+    other column has a zero gradient at every step, so its AdamW moments stay
+    zero and its step is pure weight decay: zero base weights stay zero, and
+    the untouched adapter columns are decayed with the dense step's exact
+    arithmetic. The result equals dense AdamW bit for bit.
     """
     if task not in TASKS:
         raise TrainConfigError(f"task must be one of {TASKS}")
     config.validate()
     if not corpus.sentences:
         raise ValueError("training corpus is empty")
+    _check_labels(corpus, task, "training")
+    if validation is not None:
+        _check_labels(validation, task, "validation")
 
     featurizer = HashedNgramFeaturizer(dim=config.feature_dim, salt=config.feature_salt)
     num_classes = len(EMOTION_ORDER) if task == "emotion" else 2
     rng = np.random.default_rng(config.seed)
 
-    if init_model is not None:
-        if init_model.W0.shape != (num_classes, config.feature_dim):
-            raise TrainConfigError(
-                f"init model shape {init_model.W0.shape} does not match "
-                f"({num_classes}, {config.feature_dim})"
-            )
-        model = LinearModel(W0=init_model.W0.copy(), b=init_model.b.copy())
-    else:
-        model = LinearModel.zeros(num_classes, config.feature_dim)
+    model = LinearModel.zeros(num_classes, config.feature_dim)
     adapter = None
     if config.lora is not None:
         adapter = LoraAdapter.init(
             num_classes, config.feature_dim, rank=config.lora.rank,
             alpha=config.lora.alpha, rng=rng,
         )
+    trained = TrainedModel(
+        featurizer=featurizer, model=model, adapter=adapter, task=task, config=config
+    )
 
     instances = (
         _emotion_instances(featurizer, corpus)
         if task == "emotion"
         else _trigger_instances(featurizer, corpus)
     )
+    cols, instances = _compact(instances)
+    # The head trained over the touched columns only; B and b stay whole.
+    head = LinearModel(W0=model.W0[:, cols], b=model.b)
+    head_adapter = None
+    rest = None  # untouched adapter columns, kept only while weight decay moves them
+    if adapter is not None:
+        head_adapter = LoraAdapter(
+            A=adapter.A[:, cols], B=adapter.B, rank=adapter.rank, alpha=adapter.alpha
+        )
+        if config.weight_decay > 0.0:
+            untouched = np.ones(config.feature_dim, dtype=bool)
+            untouched[cols] = False
+            rest = adapter.A[:, untouched]
 
     def current_params():
-        if adapter is not None:
-            return {"A": adapter.A, "B": adapter.B, "b": model.b}
-        return {"W0": model.W0, "b": model.b}
+        if head_adapter is not None:
+            return {"A": head_adapter.A, "B": head_adapter.B, "b": head.b}
+        return {"W0": head.W0, "b": head.b}
 
     def apply_params(params):
-        model.b = params["b"]
-        if adapter is not None:
-            adapter.A = params["A"]
-            adapter.B = params["B"]
+        head.b = params["b"]
+        if head_adapter is not None:
+            head_adapter.A = params["A"]
+            head_adapter.B = params["B"]
         else:
-            model.W0 = params["W0"]
+            head.W0 = params["W0"]
+
+    def scatter():
+        """Write the trained columns back into the full-width model."""
+        model.b = head.b
+        if adapter is None:
+            model.W0[:, cols] = head.W0
+            return
+        adapter.A[:, cols] = head_adapter.A
+        adapter.B = head_adapter.B
+        if rest is not None:
+            adapter.A[:, untouched] = rest
 
     state = AdamWState.init(current_params())
-    trained = TrainedModel(
-        featurizer=featurizer, model=model, adapter=adapter, task=task, config=config
-    )
-
     steps_per_epoch = (len(instances) + config.batch_size - 1) // config.batch_size
     total_steps = steps_per_epoch * config.epochs
     best_score = -1.0
     best_params: dict[str, np.ndarray] | None = None
+    best_rest = None
     step = 0
     for epoch in range(config.epochs):
         order = rng.permutation(len(instances))
         epoch_loss = 0.0
         for start in range(0, len(instances), config.batch_size):
             batch = [instances[i] for i in order[start:start + config.batch_size]]
-            loss, grads = loss_and_grads(model, adapter, batch)
+            loss, grads = loss_and_grads(head, head_adapter, batch)
             epoch_loss += loss * len(batch)
             lr = config.lr
             if config.schedule == "linear":
                 lr = config.lr * (1.0 - step / total_steps)
             params, state = adamw_step(state, current_params(), grads, lr, config.weight_decay)
             apply_params(params)
+            if rest is not None:
+                # The dense step of a zero-gradient column, term for term.
+                rest -= lr * (0.0 + config.weight_decay * rest)
             step += 1
         record = {"epoch": epoch, "train_loss": epoch_loss / len(instances)}
         if validation is not None:
+            scatter()
             score = _validation_score(trained, validation)
             record["validation_score"] = score
             if score > best_score:
                 best_score = score
                 best_params = {k: p.copy() for k, p in current_params().items()}
+                best_rest = None if rest is None else rest.copy()
         trained.history.append(record)
 
     if best_params is not None:
         apply_params(best_params)
+        rest = best_rest
+    scatter()
     return trained
 
 

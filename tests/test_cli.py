@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -122,6 +123,36 @@ class TestCommands:
         ])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("decay", ["nan", "-5", "inf"])
+    def test_train_rejects_bad_weight_decay(self, tmp_path, capsys, decay):
+        corpus = synthetic_corpus(10, seed=2)
+        inp = tmp_path / "c.jsonl"
+        save_corpus(corpus, inp)
+        code = main([
+            "train", "--input", str(inp), "--task", "trigger", f"--weight-decay={decay}",
+            "--feature-dim", "1024", "--output", str(tmp_path / "m.npz"),
+        ])
+        assert code == EXIT_CONFIG
+        assert "weight_decay" in capsys.readouterr().err
+        assert not (tmp_path / "m.npz").exists()
+
+    @pytest.mark.parametrize("task, field", [("emotion", "emotion"), ("trigger", "trigger_mask")])
+    def test_train_rejects_unlabelled_validation(self, tmp_path, capsys, task, field):
+        save_corpus(synthetic_corpus(10, seed=2), tmp_path / "c.jsonl")
+        validation = synthetic_corpus(4, seed=3, id_prefix="v")
+        validation.sentences[2] = dataclasses.replace(validation.sentences[2], **{field: None})
+        save_corpus(validation, tmp_path / "val.jsonl")
+        code = main([
+            "train", "--input", str(tmp_path / "c.jsonl"), "--task", task,
+            "--validation", str(tmp_path / "val.jsonl"), "--feature-dim", "1024",
+            "--output", str(tmp_path / "m.npz"),
+        ])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(tmp_path / "val.jsonl") in err
+        assert repr(validation.sentences[2].id) in err
+        assert not (tmp_path / "m.npz").exists()
+
     def test_parse_llm_file(self, tmp_path):
         inp = tmp_path / "responses.tsv"
         inp.write_text(
@@ -191,6 +222,40 @@ class TestCommands:
         assert report["accumulated_importance"] == pytest.approx((0.8 + 0.9) / 2)
         assert report["skipped_no_trigger"] == 0
         assert (tmp_path / "confusion.csv").read_text().startswith("gold\\pred,")
+
+
+class TestEvaluatePredictionsFile:
+    def evaluate(self, tmp_path, lines):
+        gold = synthetic_corpus(2, seed=1)
+        save_corpus(gold, tmp_path / "gold.jsonl")
+        (tmp_path / "pred.jsonl").write_text("".join(line + "\n" for line in lines))
+        return gold, main([
+            "evaluate", "--gold", str(tmp_path / "gold.jsonl"),
+            "--predictions", str(tmp_path / "pred.jsonl"),
+            "--output", str(tmp_path / "report.json"),
+        ])
+
+    def test_duplicate_id_rejected_with_both_lines(self, tmp_path, capsys):
+        gold = synthetic_corpus(2, seed=1)
+        first, second = (json.dumps({"id": s.id, "emotion": "Joy"}) for s in gold.sentences)
+        _, code = self.evaluate(tmp_path, [first, second, "", first])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "line 4: duplicate id" in err and "first at line 1" in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_malformed_line_names_its_number(self, tmp_path, capsys):
+        gold = synthetic_corpus(2, seed=1)
+        first = json.dumps({"id": gold.sentences[0].id, "emotion": "Joy"})
+        _, code = self.evaluate(tmp_path, [first, '{"id": "x", "emotion": '])
+        assert code == EXIT_DATA
+        assert "pred.jsonl line 2: invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ['["not", "an", "object"]', '{"id": ["x"]}', "{}"])
+    def test_record_without_string_id_rejected(self, tmp_path, capsys, line):
+        _, code = self.evaluate(tmp_path, [line])
+        assert code == EXIT_DATA
+        assert "line 1: expected an object with a string 'id'" in capsys.readouterr().err
 
 
 def run_pipeline(root, seed=7):

@@ -1,13 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from xlproject.corpus import AnnotatedSentence, Corpus, DatasetTag
+from xlproject.features import HashedNgramFeaturizer
 from xlproject.metrics import corpus_token_f1
+from xlproject.model import LinearModel, LoraAdapter, loss_and_grads
+from xlproject.optim import AdamWState, adamw_step
 from xlproject.synthetic import synthetic_corpus
 from xlproject.training import (
+    EMOTION_ORDER,
     LoraConfig,
+    MissingLabelsError,
     TrainConfig,
     TrainConfigError,
+    TrainedModel,
+    _emotion_instances,
+    _trigger_instances,
+    _validation_score,
     load_model,
     save_model,
     train,
@@ -38,6 +49,11 @@ class TestTrainConfig:
         with pytest.raises(TrainConfigError, match="schedule"):
             small_config(schedule="cosine").validate()
 
+    @pytest.mark.parametrize("decay", [-0.01, float("nan"), float("inf")])
+    def test_bad_weight_decay_rejected(self, decay):
+        with pytest.raises(TrainConfigError, match="weight_decay"):
+            small_config(weight_decay=decay).validate()
+
     def test_default_lora_hyperparameters(self):
         lora = LoraConfig()
         assert lora.rank == 64
@@ -63,6 +79,17 @@ class TestTrain:
         )
         with pytest.raises(ValueError, match="emotion"):
             train(Corpus(sentences=[sent]), "emotion", small_config())
+
+    @pytest.mark.parametrize("task, field", [("emotion", "emotion"), ("trigger", "trigger_mask")])
+    def test_unlabelled_validation_rejected_up_front(self, task, field):
+        corpus = synthetic_corpus(10, seed=3)
+        validation = synthetic_corpus(6, seed=4, id_prefix="v")
+        for i in (1, 4):
+            validation.sentences[i] = dataclasses.replace(validation.sentences[i], **{field: None})
+        with pytest.raises(MissingLabelsError, match=r"validation corpus: 2 sentences") as info:
+            train(corpus, task, small_config(), validation=validation)
+        assert info.value.role == "validation"
+        assert repr(validation.sentences[1].id) in str(info.value)
 
     def test_history_reports_validation_scores(self):
         corpus = synthetic_corpus(40, seed=3)
@@ -98,6 +125,104 @@ class TestTrain:
         trained = train(corpus, "trigger", small_config(epochs=8, feature_dim=2**14))
         pairs = [(s.trigger_mask, trained.predict_mask(s)) for s in heldout.sentences]
         assert corpus_token_f1(pairs) >= 0.95
+
+
+def dense_reference_train(corpus, task, config, validation):
+    """The dense training loop: every AdamW step updates all feature columns."""
+    featurizer = HashedNgramFeaturizer(dim=config.feature_dim, salt=config.feature_salt)
+    num_classes = len(EMOTION_ORDER) if task == "emotion" else 2
+    rng = np.random.default_rng(config.seed)
+    model = LinearModel.zeros(num_classes, config.feature_dim)
+    adapter = None
+    if config.lora is not None:
+        adapter = LoraAdapter.init(
+            num_classes, config.feature_dim, rank=config.lora.rank,
+            alpha=config.lora.alpha, rng=rng,
+        )
+    instances = (
+        _emotion_instances(featurizer, corpus)
+        if task == "emotion"
+        else _trigger_instances(featurizer, corpus)
+    )
+
+    def current_params():
+        if adapter is not None:
+            return {"A": adapter.A, "B": adapter.B, "b": model.b}
+        return {"W0": model.W0, "b": model.b}
+
+    def apply_params(params):
+        model.b = params["b"]
+        if adapter is not None:
+            adapter.A = params["A"]
+            adapter.B = params["B"]
+        else:
+            model.W0 = params["W0"]
+
+    state = AdamWState.init(current_params())
+    trained = TrainedModel(
+        featurizer=featurizer, model=model, adapter=adapter, task=task, config=config
+    )
+    total_steps = (len(instances) + config.batch_size - 1) // config.batch_size * config.epochs
+    best_score, best_params, step = -1.0, None, 0
+    for epoch in range(config.epochs):
+        order = rng.permutation(len(instances))
+        epoch_loss = 0.0
+        for start in range(0, len(instances), config.batch_size):
+            batch = [instances[i] for i in order[start:start + config.batch_size]]
+            loss, grads = loss_and_grads(model, adapter, batch)
+            epoch_loss += loss * len(batch)
+            lr = config.lr
+            if config.schedule == "linear":
+                lr = config.lr * (1.0 - step / total_steps)
+            params, state = adamw_step(state, current_params(), grads, lr, config.weight_decay)
+            apply_params(params)
+            step += 1
+        record = {"epoch": epoch, "train_loss": epoch_loss / len(instances)}
+        score = _validation_score(trained, validation)
+        record["validation_score"] = score
+        if score > best_score:
+            best_score = score
+            best_params = {k: p.copy() for k, p in current_params().items()}
+        trained.history.append(record)
+    apply_params(best_params)
+    return trained
+
+
+class TestTouchedColumnTraining:
+    @pytest.mark.parametrize("task", ["emotion", "trigger"])
+    @pytest.mark.parametrize("lora", [None, LoraConfig(rank=3, alpha=8.0)], ids=["plain", "lora"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("schedule", ["constant", "linear"])
+    def test_equals_dense_training(self, task, lora, weight_decay, schedule):
+        corpus = synthetic_corpus(24, seed=21)
+        validation = synthetic_corpus(12, seed=22, id_prefix="v")
+        config = small_config(
+            epochs=3, batch_size=8, lora=lora, weight_decay=weight_decay, schedule=schedule,
+            feature_dim=2**11,
+        )
+        expected = dense_reference_train(corpus, task, config, validation)
+        got = train(corpus, task, config, validation=validation)
+        assert np.array_equal(got.model.W0, expected.model.W0)
+        assert np.array_equal(got.model.b, expected.model.b)
+        if lora is not None:
+            assert np.array_equal(got.adapter.A, expected.adapter.A)
+            assert np.array_equal(got.adapter.B, expected.adapter.B)
+        assert got.history == expected.history
+
+    def test_untouched_adapter_columns_keep_initial_values(self):
+        corpus = synthetic_corpus(10, seed=23)
+        config = small_config(lora=LoraConfig(rank=3, alpha=8.0))
+        trained = train(corpus, "trigger", config)
+        featurizer = HashedNgramFeaturizer(dim=config.feature_dim)
+        touched = np.zeros(config.feature_dim, dtype=bool)
+        for x, _ in _trigger_instances(featurizer, corpus):
+            touched[x.indices] = True
+        initial = LoraAdapter.init(
+            2, config.feature_dim, rank=3, alpha=8.0, rng=np.random.default_rng(config.seed)
+        )
+        assert 0 < touched.sum() < config.feature_dim
+        assert np.array_equal(trained.adapter.A[:, ~touched], initial.A[:, ~touched])
+        assert not np.array_equal(trained.adapter.A[:, touched], initial.A[:, touched])
 
 
 class TestCheckpoints:
