@@ -27,7 +27,6 @@ from .projection import (
     MarkerScheme,
     Projected,
     TriggerSpan,
-    extract_markers,
     mark_sentence,
     project_corpus,
     project_labels,

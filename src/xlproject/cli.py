@@ -28,6 +28,7 @@ from .corpus import (
     load_corpus,
     save_corpus,
     split_train_validation,
+    write_provenance,
 )
 from .metrics import build_report, normalize_attributions
 from .projection import MarkerScheme, TriggerSpan, project_corpus, spans_from_mask
@@ -41,6 +42,7 @@ from .training import (
     train,
 )
 from .translate import (
+    MAX_PARALLELISM,
     DictionaryBackend,
     IdentityBackend,
     RemoteHttpBackend,
@@ -125,7 +127,11 @@ def resolve(flag_value, config: dict, dotted: str, default=None):
 
 
 def file_sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while chunk := handle.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def build_provenance(command: str, settings: dict, inputs: list[Path], seed=None) -> dict:
@@ -136,14 +142,6 @@ def build_provenance(command: str, settings: dict, inputs: list[Path], seed=None
         "seed": seed,
         "inputs": {str(p): file_sha256(Path(p)) for p in inputs},
     }
-
-
-def write_provenance_sidecar(output: Path, provenance: dict) -> None:
-    sidecar = output.with_name(output.name + ".provenance.json")
-    sidecar.write_text(
-        json.dumps(provenance, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
 
 
 def write_jsonl(records: list[dict], path: Path) -> None:
@@ -196,6 +194,12 @@ def cmd_split(args, config) -> None:
         raise ConfigError(f"--fraction must be in (0, 1), got {args.fraction}")
     corpus = _load(args.input, args.format)
     train_corpus, val_corpus = split_train_validation(corpus, args.fraction, args.seed)
+    for half, name in ((train_corpus, "training"), (val_corpus, "validation")):
+        if not half.sentences:
+            raise DataError(
+                f"{args.input}: splitting {len(corpus)} sentences at fraction {args.fraction} "
+                f"leaves the {name} half empty"
+            )
     provenance = build_provenance(
         "split",
         {"fraction": args.fraction, "seed": args.seed, "format": args.format},
@@ -224,7 +228,11 @@ def cmd_project(args, config) -> None:
     if backend_name == "remote" and cache_dir is None:
         raise ConfigError("remote backend requires --cache-dir for reproducibility")
     cache = TranslationCache(cache_dir) if cache_dir else None
-    parallelism = int(resolve(args.parallelism, config, "mt.parallelism", 1))
+    parallelism = resolve(args.parallelism, config, "mt.parallelism", 1)
+    if type(parallelism) is not int or not 1 <= parallelism <= MAX_PARALLELISM:
+        raise ConfigError(
+            f"parallelism must be an integer from 1 to {MAX_PARALLELISM}, got {parallelism!r}"
+        )
     scheme = parse_scheme(args.scheme)
 
     report = project_corpus(
@@ -370,10 +378,9 @@ def cmd_train(args, config) -> None:
             raise
         raise DataError(str(exc)) from exc
     output = Path(args.output)
-    output.parent.mkdir(parents=True, exist_ok=True)
     save_model(trained, output)
     inputs = [Path(args.input)] + ([Path(args.validation)] if args.validation else [])
-    write_provenance_sidecar(
+    write_provenance(
         output,
         build_provenance(
             "train",
@@ -403,7 +410,7 @@ def cmd_predict(args, config) -> None:
             )
     output = Path(args.output)
     write_jsonl(records, output)
-    write_provenance_sidecar(
+    write_provenance(
         output,
         build_provenance(
             "predict",
@@ -443,6 +450,12 @@ def cmd_evaluate(args, config) -> None:
     missing = [s.id for s in gold.sentences if s.id not in by_id]
     if missing:
         raise DataError(f"missing predictions for ids: {missing[:5]}")
+    gold_ids = {s.id for s in gold.sentences}
+    unknown = [sid for sid in by_id if sid not in gold_ids]
+    if unknown:
+        raise DataError(
+            f"{args.predictions}: {len(unknown)} prediction ids not in {args.gold}: {unknown[:5]}"
+        )
 
     emotion_pairs = []
     mask_pairs = []
@@ -483,7 +496,7 @@ def cmd_evaluate(args, config) -> None:
         if report.confusion is None:
             raise ConfigError("--confusion-csv needs emotion predictions to evaluate")
         Path(args.confusion_csv).write_text(report.confusion.to_csv(), encoding="utf-8")
-    write_provenance_sidecar(
+    write_provenance(
         output,
         build_provenance("evaluate", {"format": args.format}, [Path(args.gold), predictions_path]),
     )
@@ -517,7 +530,7 @@ def cmd_parse_llm(args, config) -> None:
         for sid, label in rows:
             handle.write(f"{sid}\t{label}\n")
     write_jsonl(errors, output.with_name(output.name + ".errors.jsonl"))
-    write_provenance_sidecar(
+    write_provenance(
         output,
         build_provenance(
             "parse-llm", {"fallback_neutral": bool(args.fallback_neutral)}, [input_path]

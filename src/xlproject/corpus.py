@@ -177,6 +177,14 @@ def _provenance_path(path: Path) -> Path:
     return path.with_name(path.name + ".provenance.json")
 
 
+def write_provenance(path: Path, provenance: dict) -> None:
+    """Write the ``<path>.provenance.json`` sidecar of an output file."""
+    _provenance_path(path).write_text(
+        json.dumps(provenance, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
+        encoding="utf-8",
+    )
+
+
 def load_corpus(path: str | Path, format: str = "jsonl") -> Corpus:
     """Load a corpus file; raises :class:`CorpusFormatError` naming the offending line."""
     path = Path(path)
@@ -306,14 +314,10 @@ def save_corpus(corpus: Corpus, path: str | Path, format: str = "jsonl") -> None
         _save_tsv(corpus, path)
     else:
         raise ValueError(f"unknown format {format!r}")
-    prov_path = _provenance_path(path)
     if corpus.provenance:
-        prov_path.write_text(
-            json.dumps(corpus.provenance, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
-    elif prov_path.exists():
-        prov_path.unlink()
+        write_provenance(path, corpus.provenance)
+    else:
+        _provenance_path(path).unlink(missing_ok=True)
 
 
 def _save_jsonl(corpus: Corpus, path: Path) -> None:

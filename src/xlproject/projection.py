@@ -7,7 +7,7 @@ intact are discarded with a categorized reason.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .corpus import AnnotatedSentence, Corpus, DatasetTag
@@ -61,7 +61,6 @@ class TriggerSpan:
 class MarkedSentence:
     text: str
     spans: list[TriggerSpan]
-    source_id: str
 
 
 class DiscardReason(Enum):
@@ -111,12 +110,11 @@ def mark_sentence(
 ) -> MarkedSentence | Discarded:
     """Insert marker symbols as standalone tokens around each trigger span.
 
-    Returns ``Discarded(too_many_spans)`` when the sentence has more spans
-    than the scheme has pairs.
+    A sentence without a trigger mask is marked like one with no spans: its
+    text is the plain token sequence. Returns ``Discarded(too_many_spans)``
+    when the sentence has more spans than the scheme has pairs.
     """
-    if sentence.trigger_mask is None:
-        raise ValueError(f"sentence {sentence.id!r} has no trigger mask")
-    spans = spans_from_mask(sentence.trigger_mask)
+    spans = spans_from_mask(sentence.trigger_mask or [])
     if len(spans) > len(scheme.pairs):
         return Discarded(DiscardReason.TOO_MANY_SPANS)
     opens = {span.start: scheme.pairs[span.marker_index][0] for span in spans}
@@ -128,21 +126,18 @@ def mark_sentence(
         parts.append(token)
         if i in closes:
             parts.append(closes[i])
-    return MarkedSentence(text=" ".join(parts), spans=spans, source_id=sentence.id)
-
-
-@dataclass
-class _Parsed:
-    # Alternating outside/inside token runs reconstructed from the marked
-    # translation. Inside runs keep their marker_index; clean token positions
-    # follow from concatenation order, which anchors spans positionally.
-    outside: list[list[str]]
-    inside: list[tuple[int, list[str]]]
+    return MarkedSentence(text=" ".join(parts), spans=spans)
 
 
 def _parse_marked(
     text: str, expected: list[int], scheme: MarkerScheme
-) -> _Parsed | Discarded:
+) -> tuple[list[str], list[int], list[TriggerSpan]] | Discarded:
+    """Split a marked translation into clean tokens, their mask and the spans.
+
+    Span positions follow from where each expected marker pair sits in the
+    text, so they are anchored positionally. Text without tokens is
+    discarded as ``empty_span``, whether a span or the whole sentence is empty.
+    """
     intervals = []
     for marker_index in expected:
         open_sym, close_sym = scheme.pairs[marker_index]
@@ -164,42 +159,27 @@ def _parse_marked(
     for (_, _, _, prev_end, _), (next_start, _, _, _, _) in zip(intervals, intervals[1:]):
         if next_start < prev_end:
             return Discarded(DiscardReason.REORDERED_MARKER)
-    outside: list[list[str]] = []
-    inside: list[tuple[int, list[str]]] = []
+    tokens: list[str] = []
+    mask: list[int] = []
+    spans: list[TriggerSpan] = []
     cursor = 0
     for open_start, open_end, close_start, close_end, marker_index in intervals:
-        outside.append(text[cursor:open_start].split())
-        inner_tokens = text[open_end:close_start].split()
-        if not inner_tokens:
+        outside = text[cursor:open_start].split()
+        tokens.extend(outside)
+        mask.extend([0] * len(outside))
+        inner = text[open_end:close_start].split()
+        if not inner:
             return Discarded(DiscardReason.EMPTY_SPAN)
-        inside.append((marker_index, inner_tokens))
+        spans.append(TriggerSpan(len(tokens), len(tokens) + len(inner), marker_index))
+        tokens.extend(inner)
+        mask.extend([1] * len(inner))
         cursor = close_end
-    outside.append(text[cursor:].split())
-    return _Parsed(outside=outside, inside=inside)
-
-
-def extract_markers(
-    translated_text: str, expected: list[int], scheme: MarkerScheme
-) -> tuple[str, list[tuple[int, str]]] | Discarded:
-    """Recover marked spans from a translated sentence.
-
-    On success returns the text with markers removed (whitespace collapsed)
-    and ``(marker_index, span_text)`` pairs in positional order.
-    """
-    if not expected:
-        raise ValueError("expected marker list must be non-empty")
-    parsed = _parse_marked(translated_text, expected, scheme)
-    if isinstance(parsed, Discarded):
-        return parsed
-    clean_tokens: list[str] = []
-    extracted: list[tuple[int, str]] = []
-    for i, outside_run in enumerate(parsed.outside):
-        clean_tokens.extend(outside_run)
-        if i < len(parsed.inside):
-            marker_index, inner = parsed.inside[i]
-            clean_tokens.extend(inner)
-            extracted.append((marker_index, " ".join(inner)))
-    return " ".join(clean_tokens), extracted
+    outside = text[cursor:].split()
+    tokens.extend(outside)
+    mask.extend([0] * len(outside))
+    if not tokens:
+        return Discarded(DiscardReason.EMPTY_SPAN)
+    return tokens, mask, spans
 
 
 def project_labels(
@@ -212,40 +192,14 @@ def project_labels(
 
     Span positions come from where each marker pair sat in the translated
     text, not from searching for the span words, so repeated words cannot
-    mislabel tokens.
+    mislabel tokens. A source without a trigger mask is treated as one with
+    no spans, and its projection keeps ``trigger_mask=None``.
     """
-    if source.trigger_mask is None:
-        raise ValueError(f"sentence {source.id!r} has no trigger mask")
-    source_spans = spans_from_mask(source.trigger_mask)
-    if not source_spans:
-        tokens = translated_text.split()
-        if not tokens:
-            return Discarded(DiscardReason.EMPTY_SPAN)
-        return Projected(
-            sentence=AnnotatedSentence(
-                id=source.id,
-                tokens=tokens,
-                language=target_lang,
-                origin=DatasetTag.D_T,
-                emotion=source.emotion,
-                trigger_mask=[0] * len(tokens),
-            ),
-            spans=[],
-        )
+    source_spans = spans_from_mask(source.trigger_mask or [])
     parsed = _parse_marked(translated_text, [s.marker_index for s in source_spans], scheme)
     if isinstance(parsed, Discarded):
         return parsed
-    tokens: list[str] = []
-    mask: list[int] = []
-    spans: list[TriggerSpan] = []
-    for i, outside_run in enumerate(parsed.outside):
-        tokens.extend(outside_run)
-        mask.extend([0] * len(outside_run))
-        if i < len(parsed.inside):
-            marker_index, inner = parsed.inside[i]
-            spans.append(TriggerSpan(len(tokens), len(tokens) + len(inner), marker_index))
-            tokens.extend(inner)
-            mask.extend([1] * len(inner))
+    tokens, mask, spans = parsed
     return Projected(
         sentence=AnnotatedSentence(
             id=source.id,
@@ -253,7 +207,7 @@ def project_labels(
             language=target_lang,
             origin=DatasetTag.D_T,
             emotion=source.emotion,
-            trigger_mask=mask,
+            trigger_mask=None if source.trigger_mask is None else mask,
         ),
         spans=spans,
     )
@@ -294,23 +248,16 @@ def project_corpus(
     """
     from .translate import translate_batch
 
-    marked: list[MarkedSentence | None] = []
-    discards: list[DiscardRecord] = []
-    texts: list[str] = []
     kept: list[AnnotatedSentence] = []
+    texts: list[str] = []
+    discards: list[DiscardRecord] = []
     for sent in corpus.sentences:
-        if sent.trigger_mask is None:
-            marked.append(None)
-            texts.append(" ".join(sent.tokens))
-            kept.append(sent)
-            continue
         result = mark_sentence(sent, scheme)
         if isinstance(result, Discarded):
             discards.append(DiscardRecord(sent.id, result.reason, ""))
             continue
-        marked.append(result)
-        texts.append(result.text)
         kept.append(sent)
+        texts.append(result.text)
 
     translations = (
         translate_batch(texts, src, tgt, backend, cache=cache, parallelism=parallelism)
@@ -320,32 +267,15 @@ def project_corpus(
 
     projected_sentences: list[AnnotatedSentence] = []
     alignments: list[tuple[AnnotatedSentence, Projected]] = []
-    for sent, mark, translated in zip(kept, marked, translations):
-        if mark is None:
-            tokens = translated.split()
-            if not tokens:
-                discards.append(DiscardRecord(sent.id, DiscardReason.EMPTY_SPAN, translated))
-                continue
-            projected_sentences.append(
-                AnnotatedSentence(
-                    id=f"{sent.id}@{tgt}",
-                    tokens=tokens,
-                    language=tgt,
-                    origin=DatasetTag.D_T,
-                    emotion=sent.emotion,
-                )
-            )
-            continue
+    for sent, translated in zip(kept, translations):
         outcome = project_labels(sent, translated, scheme, tgt)
         if isinstance(outcome, Discarded):
             discards.append(DiscardRecord(sent.id, outcome.reason, translated))
             continue
-        outcome = Projected(
-            sentence=replace(outcome.sentence, id=f"{sent.id}@{tgt}"),
-            spans=outcome.spans,
-        )
+        outcome.sentence.id = f"{sent.id}@{tgt}"
         projected_sentences.append(outcome.sentence)
-        alignments.append((sent, outcome))
+        if sent.trigger_mask is not None:
+            alignments.append((sent, outcome))
 
     projected = Corpus(
         sentences=projected_sentences,

@@ -317,12 +317,12 @@ def load_model(path: str | Path) -> TrainedModel:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
-        model = LinearModel(W0=data["W0"].copy(), b=data["b"].copy())
+        model = LinearModel(W0=data["W0"], b=data["b"])
         adapter = None
         if meta["lora"] is not None:
             adapter = LoraAdapter(
-                A=data["A"].copy(),
-                B=data["B"].copy(),
+                A=data["A"],
+                B=data["B"],
                 rank=meta["lora"]["rank"],
                 alpha=meta["lora"]["alpha"],
             )

@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -11,6 +12,9 @@ from pathlib import Path
 from typing import Protocol
 
 API_KEY_ENV = "XLPROJECT_MT_API_KEY"
+# Upper bound on concurrent translation requests, so no configuration can ask
+# for one thread per pending text.
+MAX_PARALLELISM = 64
 
 
 class TranslationError(Exception):
@@ -100,13 +104,28 @@ class TranslationCache:
         return self.root / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> str | None:
+        """The cached translation, or None on a miss; a corrupt entry raises ValueError."""
         path = self._path(key)
-        if not path.exists():
+        try:
+            raw = path.read_bytes()
+        except FileNotFoundError:
             return None
-        entry = json.loads(path.read_text(encoding="utf-8"))
-        return entry["translated"]
+        try:
+            translated = json.loads(raw)["translated"]
+        except (ValueError, TypeError, KeyError):
+            translated = None
+        if not isinstance(translated, str):
+            raise ValueError(
+                f"corrupt translation-cache entry {path}: expected JSON with a 'translated' string"
+            )
+        return translated
 
     def put(self, key: str, text: str, translated: str, src: str, tgt: str, backend_id: str) -> None:
+        """Store an entry unless the key is present; no reader ever sees a partial entry.
+
+        The entry is written to a temporary file next to its final path and
+        hard-linked into place, which fails if an earlier writer got there first.
+        """
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
@@ -117,11 +136,18 @@ class TranslationCache:
             "backend": backend_id,
             "created_at": time.time(),
         }
+        # Unique among live writers; a leftover of a killed writer is overwritten.
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        handle = open(tmp, "w", encoding="utf-8")
         try:
-            with open(path, "x", encoding="utf-8") as handle:
+            with handle:
                 json.dump(entry, handle, ensure_ascii=False)
-        except FileExistsError:
-            pass  # an earlier writer already stored this key
+            try:
+                os.link(tmp, path)
+            except FileExistsError:
+                pass  # an earlier writer already stored this key
+        finally:
+            os.unlink(tmp)
 
 
 def translate_batch(
@@ -145,8 +171,8 @@ def translate_batch(
         raise ValueError(f"source and target language are both {src!r}")
     if not texts:
         raise ValueError("texts must be non-empty")
-    if parallelism < 1:
-        raise ValueError("parallelism must be positive")
+    if not 1 <= parallelism <= MAX_PARALLELISM:
+        raise ValueError(f"parallelism must be from 1 to {MAX_PARALLELISM}, got {parallelism}")
 
     results: list[str | None] = [None] * len(texts)
     pending: dict[str, list[int]] = {}

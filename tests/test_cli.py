@@ -59,6 +59,50 @@ class TestCommands:
         assert sidecar["command"] == "split"
         assert sidecar["split_seed"] == 42
 
+    def test_split_rejects_an_empty_half(self, tmp_path, capsys):
+        save_corpus(synthetic_corpus(1, seed=0), tmp_path / "one.jsonl")
+        code = main([
+            "split", "--input", str(tmp_path / "one.jsonl"), "--fraction", "0.10",
+            "--output-train", str(tmp_path / "train.jsonl"),
+            "--output-validation", str(tmp_path / "val.jsonl"),
+        ])
+        assert code == EXIT_DATA
+        assert "validation half empty" in capsys.readouterr().err
+        assert not (tmp_path / "val.jsonl").exists()
+
+    @pytest.mark.parametrize("value", [0, "lots", 65, True])
+    def test_project_rejects_bad_parallelism_in_config(self, tmp_path, capsys, value):
+        save_corpus(synthetic_corpus(2, seed=1), tmp_path / "ds.jsonl")
+        config = tmp_path / "conf.yaml"
+        config.write_text(yaml.safe_dump({"mt": {"parallelism": value}}))
+        code = main([
+            "project", "--input", str(tmp_path / "ds.jsonl"), "--output", str(tmp_path / "o.jsonl"),
+            "--tgt", "es", "--config", str(config),
+        ])
+        assert code == EXIT_CONFIG
+        assert "parallelism must be an integer from 1 to 64" in capsys.readouterr().err
+        assert not (tmp_path / "o.jsonl").exists()
+
+    def test_project_rejects_zero_parallelism_flag(self, tmp_path):
+        save_corpus(synthetic_corpus(2, seed=1), tmp_path / "ds.jsonl")
+        code = main([
+            "project", "--input", str(tmp_path / "ds.jsonl"), "--output", str(tmp_path / "o.jsonl"),
+            "--tgt", "es", "--parallelism", "0",
+        ])
+        assert code == EXIT_CONFIG
+
+    def test_project_names_a_corrupt_cache_entry(self, tmp_path, capsys):
+        save_corpus(synthetic_corpus(2, seed=1), tmp_path / "ds.jsonl")
+        argv = [
+            "project", "--input", str(tmp_path / "ds.jsonl"), "--output", str(tmp_path / "o.jsonl"),
+            "--tgt", "es", "--cache-dir", str(tmp_path / "cache"),
+        ]
+        assert main(argv) == EXIT_OK
+        entry = sorted((tmp_path / "cache").rglob("*.json"))[0]
+        entry.write_text(entry.read_text()[:20])
+        assert main(argv) == EXIT_DATA
+        assert str(entry) in capsys.readouterr().err
+
     def test_project_identity_no_discards(self, tmp_path):
         corpus = synthetic_corpus(20, seed=1)
         inp = tmp_path / "ds.jsonl"
@@ -250,6 +294,17 @@ class TestEvaluatePredictionsFile:
         _, code = self.evaluate(tmp_path, [first, '{"id": "x", "emotion": '])
         assert code == EXIT_DATA
         assert "pred.jsonl line 2: invalid JSON" in capsys.readouterr().err
+
+    def test_ids_missing_from_gold_rejected(self, tmp_path, capsys):
+        gold = synthetic_corpus(2, seed=1)
+        lines = [json.dumps({"id": s.id, "emotion": "Joy"}) for s in gold.sentences]
+        extra = [json.dumps({"id": f"x{i}", "emotion": "Joy"}) for i in range(7)]
+        _, code = self.evaluate(tmp_path, lines + extra)
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "7 prediction ids not in" in err
+        assert "['x0', 'x1', 'x2', 'x3', 'x4']" in err
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("line", ['["not", "an", "object"]', '{"id": ["x"]}', "{}"])
     def test_record_without_string_id_rejected(self, tmp_path, capsys, line):

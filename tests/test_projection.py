@@ -2,18 +2,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xlproject.corpus import AnnotatedSentence, DatasetTag, EmotionLabel
+from xlproject.corpus import AnnotatedSentence, Corpus, DatasetTag, EmotionLabel
 from xlproject.projection import (
     Discarded,
     DiscardReason,
     MarkerScheme,
     Projected,
     TriggerSpan,
-    extract_markers,
     mark_sentence,
+    project_corpus,
     project_labels,
     spans_from_mask,
 )
+from xlproject.translate import DictionaryBackend, IdentityBackend
 
 SCHEME = MarkerScheme()
 
@@ -40,6 +41,21 @@ def masked_sentences(draw):
     )
     mask = draw(st.lists(st.integers(0, 1), min_size=len(tokens), max_size=len(tokens)))
     return sentence(tokens, mask)
+
+
+@st.composite
+def mixed_corpora(draw):
+    """Corpora mixing unmasked sentences, all-zero masks and masked sentences."""
+    sentences = []
+    for i, src in enumerate(draw(st.lists(masked_sentences(), min_size=1, max_size=8))):
+        kind = draw(st.sampled_from(("none", "zero", "drawn")))
+        if kind == "none":
+            src.trigger_mask = None
+        elif kind == "zero":
+            src.trigger_mask = [0] * len(src.tokens)
+        src.id = f"s{i}"
+        sentences.append(src)
+    return Corpus(sentences=sentences)
 
 
 class TestSpansFromMask:
@@ -99,53 +115,77 @@ class TestMarkSentence:
         assert marked.text == "so { happy today }"
 
 
+def span_texts(outcome):
+    """``(marker_index, span_text)`` pairs of a projection, in positional order."""
+    tokens = outcome.sentence.tokens
+    return [(s.marker_index, " ".join(tokens[s.start:s.end])) for s in outcome.spans]
+
+
+ONE_SPAN = sentence(["I", "love", "you"], [0, 1, 0])
+TWO_SPANS = sentence(["a", "x", "b"], [1, 0, 1])
+
+
 class TestExtractMarkers:
+    """Marker extraction from a translation, checked through ``project_labels``."""
+
     def test_basic_extraction(self):
-        result = extract_markers("Te [ quiero ] mucho", [0], SCHEME)
-        assert result == ("Te quiero mucho", [(0, "quiero")])
+        out = project_labels(ONE_SPAN, "Te [ quiero ] mucho", SCHEME, "es")
+        assert out.sentence.tokens == ["Te", "quiero", "mucho"]
+        assert span_texts(out) == [(0, "quiero")]
 
     def test_missing_marker(self):
-        result = extract_markers("Te quiero mucho", [0], SCHEME)
+        result = project_labels(ONE_SPAN, "Te quiero mucho", SCHEME, "es")
         assert isinstance(result, Discarded)
         assert result.reason is DiscardReason.MISSING_MARKER
 
     def test_close_before_open(self):
-        result = extract_markers("A ] x [ B", [0], SCHEME)
+        result = project_labels(ONE_SPAN, "A ] x [ B", SCHEME, "es")
         assert isinstance(result, Discarded)
         assert result.reason is DiscardReason.UNBALANCED_MARKER
 
     def test_duplicated_symbol_is_unbalanced(self):
-        result = extract_markers("[ a ] [ b", [0], SCHEME)
+        result = project_labels(ONE_SPAN, "[ a ] [ b", SCHEME, "es")
         assert isinstance(result, Discarded)
         assert result.reason is DiscardReason.UNBALANCED_MARKER
 
     def test_nested_pairs_reordered(self):
-        result = extract_markers("x [ a { b } c ] y", [0, 1], SCHEME)
+        result = project_labels(TWO_SPANS, "x [ a { b } c ] y", SCHEME, "es")
         assert isinstance(result, Discarded)
         assert result.reason is DiscardReason.REORDERED_MARKER
 
     def test_interleaved_pairs_reordered(self):
-        result = extract_markers("x [ a { b ] c } y", [0, 1], SCHEME)
+        result = project_labels(TWO_SPANS, "x [ a { b ] c } y", SCHEME, "es")
         assert isinstance(result, Discarded)
         assert result.reason is DiscardReason.REORDERED_MARKER
 
     def test_empty_span(self):
-        result = extract_markers("x [ ] y", [0], SCHEME)
+        result = project_labels(ONE_SPAN, "x [ ] y", SCHEME, "es")
         assert isinstance(result, Discarded)
         assert result.reason is DiscardReason.EMPTY_SPAN
 
     def test_swapped_disjoint_pairs_survive(self):
         # Translation may legitimately reorder phrases; marker ids track spans.
-        result = extract_markers("{ b } x [ a ]", [0, 1], SCHEME)
-        assert result == ("b x a", [(1, "b"), (0, "a")])
+        out = project_labels(TWO_SPANS, "{ b } x [ a ]", SCHEME, "es")
+        assert out.sentence.tokens == ["b", "x", "a"]
+        assert span_texts(out) == [(1, "b"), (0, "a")]
 
     def test_markers_glued_to_words(self):
-        result = extract_markers("Te [quiero] mucho", [0], SCHEME)
-        assert result == ("Te quiero mucho", [(0, "quiero")])
+        out = project_labels(ONE_SPAN, "Te [quiero] mucho", SCHEME, "es")
+        assert out.sentence.tokens == ["Te", "quiero", "mucho"]
+        assert span_texts(out) == [(0, "quiero")]
 
     def test_inner_whitespace_trimmed(self):
-        result = extract_markers("a [   b   c  ] d", [0], SCHEME)
-        assert result == ("a b c d", [(0, "b c")])
+        out = project_labels(ONE_SPAN, "a [   b   c  ] d", SCHEME, "es")
+        assert out.sentence.tokens == ["a", "b", "c", "d"]
+        assert span_texts(out) == [(0, "b c")]
+
+    @pytest.mark.parametrize("mask", [None, [0, 0]])
+    def test_empty_translation_without_spans(self, mask):
+        src = sentence(["all", "quiet"], [0, 0])
+        src.trigger_mask = mask
+        result = project_labels(src, "  ", SCHEME, "es")
+        assert isinstance(result, Discarded)
+        assert result.reason is DiscardReason.EMPTY_SPAN
 
 
 class TestProjectLabels:
@@ -189,6 +229,19 @@ class TestProjectLabels:
         assert out.sentence.trigger_mask == [0, 0]
         assert out.spans == []
 
+    def test_unmasked_sentence_keeps_no_mask(self):
+        src = sentence(["all", "quiet"], [0, 0])
+        src.trigger_mask = None
+        marked = mark_sentence(src, SCHEME)
+        assert marked.text == "all quiet"
+        assert marked.spans == []
+        # Marker symbols in an unmasked translation are ordinary tokens.
+        out = project_labels(src, "todo [ tranquilo", SCHEME, "es")
+        assert isinstance(out, Projected)
+        assert out.sentence.tokens == ["todo", "[", "tranquilo"]
+        assert out.sentence.trigger_mask is None
+        assert out.spans == []
+
     @settings(max_examples=200, deadline=None)
     @given(src=masked_sentences())
     def test_round_trip_property(self, src):
@@ -209,11 +262,10 @@ class TestProjectLabels:
         if not spans or len(spans) > len(SCHEME.pairs):
             return
         marked = mark_sentence(src, SCHEME)
-        result = extract_markers(marked.text, [s.marker_index for s in spans], SCHEME)
-        assert not isinstance(result, Discarded)
-        _, extracted = result
+        out = project_labels(src, marked.text, SCHEME, "es")
+        assert isinstance(out, Projected)
         want = {s.marker_index: " ".join(src.tokens[s.start:s.end]) for s in spans}
-        assert dict(extracted) == want
+        assert dict(span_texts(out)) == want
 
     @settings(max_examples=200, deadline=None)
     @given(src=masked_sentences())
@@ -224,3 +276,42 @@ class TestProjectLabels:
         out = project_labels(src, marked.text, SCHEME, "es")
         span_words = sum(s.end - s.start for s in out.spans)
         assert sum(out.sentence.trigger_mask) == span_words
+
+
+class TestProjectCorpus:
+    @settings(max_examples=100, deadline=None)
+    @given(corpus=mixed_corpora())
+    def test_identity_keeps_every_sentence_and_mask(self, corpus):
+        report = project_corpus(corpus, SCHEME, IdentityBackend(), "en", "es")
+        assert report.discards == []
+        assert [s.id for s in report.corpus.sentences] == [f"{s.id}@es" for s in corpus.sentences]
+        for src, out in zip(corpus.sentences, report.corpus.sentences):
+            assert out.tokens == src.tokens
+            assert out.trigger_mask == src.trigger_mask
+            assert out.emotion is src.emotion
+        masked = [s for s in corpus.sentences if s.trigger_mask is not None]
+        assert [src for src, _ in report.alignments] == masked
+        for src, projected in report.alignments:
+            assert projected.sentence.id == f"{src.id}@es"
+            assert projected.spans == spans_from_mask(src.trigger_mask)
+
+    @settings(max_examples=100, deadline=None)
+    @given(corpus=mixed_corpora())
+    def test_translation_dropping_every_token_discards_all(self, corpus):
+        vocabulary = {tok for s in corpus.sentences for tok in s.tokens}
+        markers = {sym for pair in SCHEME.pairs for sym in pair}
+        backend = DictionaryBackend(drop_tokens=frozenset(vocabulary | markers))
+        report = project_corpus(corpus, SCHEME, backend, "en", "es")
+        assert report.corpus.sentences == []
+        assert report.alignments == []
+        want = [
+            (
+                s.id,
+                DiscardReason.MISSING_MARKER
+                if spans_from_mask(s.trigger_mask or [])
+                else DiscardReason.EMPTY_SPAN,
+                "",
+            )
+            for s in corpus.sentences
+        ]
+        assert [(d.id, d.reason, d.translated_text) for d in report.discards] == want

@@ -235,6 +235,7 @@ class TestCheckpoints:
         assert loaded.task == "emotion"
         assert loaded.model.W0.tobytes() == trained.model.W0.tobytes()
         assert loaded.model.b.tobytes() == trained.model.b.tobytes()
+        assert loaded.model.W0.flags.writeable and loaded.model.b.flags.writeable
         assert loaded.adapter is None
         assert loaded.config == trained.config
         assert loaded.featurizer == trained.featurizer

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from xlproject.translate import (
@@ -91,6 +93,27 @@ class TestCaching:
         cache.put(key, "t", "first", "en", "es", "b")
         cache.put(key, "t", "second", "en", "es", "b")
         assert cache.get(key) == "first"
+
+    @pytest.mark.parametrize("content", ['{"text": "t", "transl', '{"text": "t"}', "[1]", ""])
+    def test_corrupt_entry_names_its_file(self, tmp_path, content):
+        cache = TranslationCache(tmp_path / "cache")
+        key = cache_key("t", "en", "es", "b")
+        cache.put(key, "t", "x", "en", "es", "b")
+        path = cache._path(key)
+        path.write_text(content)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            cache.get(key)
+
+    def test_put_failing_mid_write_leaves_no_entry(self, tmp_path):
+        cache = TranslationCache(tmp_path / "cache")
+        key = cache_key("t", "en", "es", "b")
+        # json.dump has written the first fields when it meets the bad value.
+        with pytest.raises(TypeError):
+            cache.put(key, "t", "x", "en", "es", object())
+        assert list(cache._path(key).parent.iterdir()) == []
+        assert cache.get(key) is None
+        cache.put(key, "t", "x", "en", "es", "b")
+        assert cache.get(key) == "x"
 
     def test_order_preserved_with_mixed_hits(self, tmp_path):
         backend = IdentityBackend()
