@@ -396,18 +396,7 @@ def cmd_train(args, config) -> None:
 def cmd_predict(args, config) -> None:
     trained = load_model(Path(args.model))
     corpus = _load(args.input, args.format)
-    records = []
-    for sentence in corpus.sentences:
-        if trained.task == "emotion":
-            records.append({"id": sentence.id, "emotion": trained.predict_emotion(sentence).value})
-        else:
-            records.append(
-                {
-                    "id": sentence.id,
-                    "mask": trained.predict_mask(sentence),
-                    "numeric": trained.predict_numeric(sentence),
-                }
-            )
+    records = trained.predict(corpus)
     output = Path(args.output)
     write_jsonl(records, output)
     write_provenance(

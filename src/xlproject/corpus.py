@@ -198,13 +198,21 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> Corpus:
     prov_path = _provenance_path(path)
     if prov_path.exists():
         provenance = json.loads(prov_path.read_text(encoding="utf-8"))
-    corpus = Corpus(sentences=sentences, provenance=provenance)
-    corpus.validate()
-    return corpus
+    return Corpus(sentences=sentences, provenance=provenance)
+
+
+def _check_new_id(first_line: dict[str, int], sid: str, path: Path, lineno: int) -> None:
+    """Record that ``sid`` starts at ``lineno``; reject an id seen before."""
+    first = first_line.setdefault(sid, lineno)
+    if first != lineno:
+        raise CorpusFormatError(
+            f"{path} line {lineno}: duplicate id {sid!r}, first at line {first}"
+        )
 
 
 def _load_jsonl(path: Path) -> list[AnnotatedSentence]:
     sentences = []
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
@@ -214,9 +222,11 @@ def _load_jsonl(path: Path) -> list[AnnotatedSentence]:
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"invalid JSON at line {lineno}: {exc.msg}") from None
             try:
-                sentences.append(_sentence_from_record(record))
+                sent = _sentence_from_record(record)
             except CorpusFormatError as exc:
                 raise CorpusFormatError(f"{exc} at line {lineno}") from None
+            _check_new_id(first_line, sent.id, path, lineno)
+            sentences.append(sent)
     return sentences
 
 
@@ -243,6 +253,7 @@ def _load_tsv(path: Path) -> list[AnnotatedSentence]:
     tokens: list[str] = []
     mask: list[int] = []
     mask_seen: bool | None = None
+    first_line: dict[str, int] = {}
 
     def flush() -> None:
         nonlocal header, tokens, mask, mask_seen
@@ -261,6 +272,7 @@ def _load_tsv(path: Path) -> list[AnnotatedSentence]:
             sent.validate()
         except CorpusFormatError as exc:
             raise CorpusFormatError(f"{exc} at line {header_line}") from None
+        _check_new_id(first_line, sent.id, path, header_line)
         sentences.append(sent)
         header, tokens, mask, mask_seen = None, [], [], None
 

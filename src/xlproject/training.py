@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import EMOTION_ORDER, AnnotatedSentence, Corpus, EmotionLabel
-from .features import DEFAULT_FEATURE_DIM, DEFAULT_SALT, FeatureVector, HashedNgramFeaturizer
+from .features import DEFAULT_FEATURE_DIM, DEFAULT_SALT, FeatureBlock, HashedNgramFeaturizer
 from .metrics import corpus_token_f1, macro_f1
 from .model import (
     LinearModel,
@@ -98,6 +98,32 @@ class TrainedModel:
     def predict_numeric(self, sentence: AnnotatedSentence) -> list[float]:
         return numeric_from_logits(self._word_logits(sentence)).values
 
+    def _logits(self, cols: np.ndarray, block: FeatureBlock) -> list[np.ndarray]:
+        """Logits of every row of a compacted block, by ``forward`` on the
+        model sliced to the block's columns ``cols``."""
+        head = LinearModel(W0=self.model.W0[:, cols], b=self.model.b)
+        adapter = None
+        if self.adapter is not None:
+            adapter = LoraAdapter(
+                A=self.adapter.A[:, cols], B=self.adapter.B,
+                rank=self.adapter.rank, alpha=self.adapter.alpha,
+            )
+        return [forward(head, adapter, block.row(r)) for r in range(len(block))]
+
+    def predict(self, corpus: Corpus) -> list[dict]:
+        """Prediction records of every sentence, from one featurization of the
+        corpus; the same values as the per-sentence ``predict_*`` methods."""
+        logits = self._logits(*_featurize(self.featurizer, self.task, corpus).compact())
+        if self.task == "emotion":
+            return [
+                {"id": s.id, "emotion": EMOTION_ORDER[int(np.argmax(row))].value}
+                for s, row in zip(corpus.sentences, logits)
+            ]
+        return [
+            {"id": s.id, "mask": predict_binary(rows), "numeric": numeric_from_logits(rows).values}
+            for s, rows in zip(corpus.sentences, _per_sentence(logits, corpus))
+        ]
+
 
 class MissingLabelsError(ValueError):
     """A corpus given to :func:`train` has sentences without the task's labels."""
@@ -116,38 +142,36 @@ def _check_labels(corpus: Corpus, task: str, role: str) -> None:
         raise MissingLabelsError(role, label, missing)
 
 
-def _emotion_instances(featurizer, corpus: Corpus):
-    label_index = {label: i for i, label in enumerate(EMOTION_ORDER)}
-    return [
-        (featurizer.sentence_features(s.tokens), label_index[s.emotion])
-        for s in corpus.sentences
-    ]
+def _featurize(featurizer: HashedNgramFeaturizer, task: str, corpus: Corpus) -> FeatureBlock:
+    """One row per sentence for emotion, one per token for triggers."""
+    return featurizer.featurize([s.tokens for s in corpus.sentences], pooled=task == "emotion")
 
 
-def _trigger_instances(featurizer, corpus: Corpus):
-    instances = []
-    for sent in corpus.sentences:
-        for x, label in zip(featurizer.token_features(sent.tokens), sent.trigger_mask):
-            instances.append((x, label))
-    return instances
+def _labels(task: str, corpus: Corpus) -> list[int]:
+    """The class of every row of the corpus's feature block."""
+    if task == "emotion":
+        label_index = {label: i for i, label in enumerate(EMOTION_ORDER)}
+        return [label_index[s.emotion] for s in corpus.sentences]
+    return [label for s in corpus.sentences for label in s.trigger_mask]
 
 
-def _compact(instances):
-    """The sorted feature columns the instances touch, and the instances
-    re-indexed onto ``0..K-1`` in that order."""
-    cols = np.unique(np.concatenate([x.indices for x, _ in instances]))
-    return cols, [
-        (FeatureVector(np.searchsorted(cols, x.indices), x.values, len(cols)), label)
-        for x, label in instances
-    ]
+def _per_sentence(token_logits: list[np.ndarray], corpus: Corpus) -> list[list[np.ndarray]]:
+    """Token-row logits grouped by the sentence they belong to."""
+    groups, start = [], 0
+    for sentence in corpus.sentences:
+        groups.append(token_logits[start:start + len(sentence.tokens)])
+        start += len(sentence.tokens)
+    return groups
 
 
-def _validation_score(trained: TrainedModel, validation: Corpus) -> float:
-    if trained.task == "emotion":
+def _validation_score(task: str, validation: Corpus, logits: list[np.ndarray]) -> float:
+    if task == "emotion":
         gold = [s.emotion for s in validation.sentences]
-        pred = [trained.predict_emotion(s) for s in validation.sentences]
-        return macro_f1(gold, pred)
-    pairs = [(s.trigger_mask, trained.predict_mask(s)) for s in validation.sentences]
+        return macro_f1(gold, [EMOTION_ORDER[int(np.argmax(row))] for row in logits])
+    pairs = [
+        (s.trigger_mask, predict_binary(rows))
+        for s, rows in zip(validation.sentences, _per_sentence(logits, validation))
+    ]
     return corpus_token_f1(pairs)
 
 
@@ -194,12 +218,12 @@ def train(
         featurizer=featurizer, model=model, adapter=adapter, task=task, config=config
     )
 
-    instances = (
-        _emotion_instances(featurizer, corpus)
-        if task == "emotion"
-        else _trigger_instances(featurizer, corpus)
-    )
-    cols, instances = _compact(instances)
+    # Both corpora are featurized once, up front.
+    cols, block = _featurize(featurizer, task, corpus).compact()
+    labels = _labels(task, corpus)
+    validation_rows = None  # (columns, compacted block), like the training set's
+    if validation is not None:
+        validation_rows = _featurize(featurizer, task, validation).compact()
     # The head trained over the touched columns only; B and b stay whole.
     head = LinearModel(W0=model.W0[:, cols], b=model.b)
     head_adapter = None
@@ -238,17 +262,17 @@ def train(
             adapter.A[:, untouched] = rest
 
     state = AdamWState.init(current_params())
-    steps_per_epoch = (len(instances) + config.batch_size - 1) // config.batch_size
+    steps_per_epoch = (len(labels) + config.batch_size - 1) // config.batch_size
     total_steps = steps_per_epoch * config.epochs
     best_score = -1.0
     best_params: dict[str, np.ndarray] | None = None
     best_rest = None
     step = 0
     for epoch in range(config.epochs):
-        order = rng.permutation(len(instances))
+        order = rng.permutation(len(labels))
         epoch_loss = 0.0
-        for start in range(0, len(instances), config.batch_size):
-            batch = [instances[i] for i in order[start:start + config.batch_size]]
+        for start in range(0, len(labels), config.batch_size):
+            batch = [(block.row(i), labels[i]) for i in order[start:start + config.batch_size]]
             loss, grads = loss_and_grads(head, head_adapter, batch)
             epoch_loss += loss * len(batch)
             lr = config.lr
@@ -260,10 +284,10 @@ def train(
                 # The dense step of a zero-gradient column, term for term.
                 rest -= lr * (0.0 + config.weight_decay * rest)
             step += 1
-        record = {"epoch": epoch, "train_loss": epoch_loss / len(instances)}
+        record = {"epoch": epoch, "train_loss": epoch_loss / len(labels)}
         if validation is not None:
             scatter()
-            score = _validation_score(trained, validation)
+            score = _validation_score(task, validation, trained._logits(*validation_rows))
             record["validation_score"] = score
             if score > best_score:
                 best_score = score
@@ -313,19 +337,33 @@ def save_model(trained: TrainedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> TrainedModel:
+    """Load a checkpoint; raises ``ValueError`` naming the file when its arrays
+    disagree with its metadata (prediction relies on these shapes)."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
         if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
-        model = LinearModel(W0=data["W0"], b=data["b"])
-        adapter = None
+            raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')!r}")
+        classes, dim = len(meta["classes"]), meta["feature"]["dim"]
+        expected = {"W0": (classes, dim), "b": (classes,)}
         if meta["lora"] is not None:
-            adapter = LoraAdapter(
-                A=data["A"],
-                B=data["B"],
-                rank=meta["lora"]["rank"],
-                alpha=meta["lora"]["alpha"],
-            )
+            rank = meta["lora"]["rank"]
+            expected.update(A=(rank, dim), B=(classes, rank))
+        arrays = {}
+        for name, shape in expected.items():
+            if name not in data.files:
+                raise ValueError(f"{path}: array {name} is missing")
+            arrays[name] = data[name]
+            if arrays[name].shape != shape:
+                raise ValueError(
+                    f"{path}: array {name} has shape {arrays[name].shape}, "
+                    f"but the metadata implies {shape}"
+                )
+    model = LinearModel(W0=arrays["W0"], b=arrays["b"])
+    adapter = None
+    if meta["lora"] is not None:
+        adapter = LoraAdapter(
+            A=arrays["A"], B=arrays["B"], rank=meta["lora"]["rank"], alpha=meta["lora"]["alpha"]
+        )
     feature = meta["feature"]
     featurizer = HashedNgramFeaturizer(
         dim=feature["dim"],

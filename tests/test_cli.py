@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import yaml
 
@@ -15,8 +16,9 @@ from xlproject.cli import (
     main,
     parse_llm_response,
 )
-from xlproject.corpus import EmotionLabel, load_corpus, save_corpus
+from xlproject.corpus import Corpus, EmotionLabel, load_corpus, save_corpus
 from xlproject.synthetic import mock_translation_table, synthetic_corpus
+from xlproject.training import LoraConfig, TrainConfig, load_model, save_model, train
 
 
 class TestParseLlmResponse:
@@ -266,6 +268,69 @@ class TestCommands:
         assert report["accumulated_importance"] == pytest.approx((0.8 + 0.9) / 2)
         assert report["skipped_no_trigger"] == 0
         assert (tmp_path / "confusion.csv").read_text().startswith("gold\\pred,")
+
+
+class TestPredict:
+    def predict(self, tmp_path, model, corpus):
+        save_corpus(corpus, tmp_path / "test.jsonl")
+        code = main([
+            "predict", "--model", str(model), "--input", str(tmp_path / "test.jsonl"),
+            "--output", str(tmp_path / "pred.jsonl"),
+        ])
+        return code, tmp_path / "pred.jsonl"
+
+    def trained_model(self, tmp_path, task, lora):
+        config = TrainConfig(epochs=3, batch_size=8, seed=0, feature_dim=512, lora=lora)
+        trained = train(synthetic_corpus(30, seed=5), task, config)
+        save_model(trained, tmp_path / "model.npz")
+        return tmp_path / "model.npz"
+
+    @pytest.mark.parametrize("task", ["emotion", "trigger"])
+    @pytest.mark.parametrize("lora", [None, LoraConfig(rank=3, alpha=8.0)], ids=["plain", "lora"])
+    def test_same_bytes_as_per_sentence_predictions(self, tmp_path, task, lora):
+        model = self.trained_model(tmp_path, task, lora)
+        test = synthetic_corpus(25, seed=6, id_prefix="t")
+        code, predictions = self.predict(tmp_path, model, test)
+        assert code == EXIT_OK
+        loaded = load_model(model)
+        records = []
+        for s in test.sentences:
+            if task == "emotion":
+                records.append({"id": s.id, "emotion": loaded.predict_emotion(s).value})
+            else:
+                records.append({
+                    "id": s.id, "mask": loaded.predict_mask(s),
+                    "numeric": loaded.predict_numeric(s),
+                })
+        expected = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+        assert predictions.read_text(encoding="utf-8") == expected
+        if task == "trigger":  # the logits differ between tokens
+            assert any(len(set(r["numeric"])) > 1 for r in records)
+        else:
+            assert len({r["emotion"] for r in records}) > 1
+
+    @pytest.mark.parametrize("task", ["emotion", "trigger"])
+    def test_empty_input_writes_empty_predictions(self, tmp_path, task):
+        model = self.trained_model(tmp_path, task, None)
+        code, predictions = self.predict(tmp_path, model, Corpus())
+        assert code == EXIT_OK
+        assert predictions.read_bytes() == b""
+
+    @pytest.mark.parametrize("section, key", [("feature", "dim"), ("lora", "rank")])
+    def test_checkpoint_disagreeing_with_metadata_rejected(self, tmp_path, capsys, section, key):
+        model = self.trained_model(tmp_path, "trigger", LoraConfig(rank=3, alpha=8.0))
+        with np.load(model) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        meta[section][key] *= 2
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        with open(model, "wb") as handle:
+            np.savez(handle, **arrays)
+        code, predictions = self.predict(tmp_path, model, synthetic_corpus(3, seed=6))
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(model) in err and "metadata" in err
+        assert not predictions.exists()
 
 
 class TestEvaluatePredictionsFile:

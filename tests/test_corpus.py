@@ -109,6 +109,24 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="duplicate id"):
             load_corpus(path)
 
+    def test_duplicate_id_names_file_and_both_lines(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        line = '{{"id": "{}", "lang": "en", "tokens": ["x"], "origin": "D_S"}}\n'
+        path.write_text(line.format("a") + line.format("b") + "\n" + line.format("a"))
+        with pytest.raises(CorpusFormatError) as info:
+            load_corpus(path)
+        assert str(info.value) == f"{path} line 4: duplicate id 'a', first at line 1"
+
+    def test_duplicate_id_in_tsv_names_both_header_lines(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text(
+            "# id=a lang=en origin=D_S\nx\n\n# id=b lang=en origin=D_S\ny\n\n"
+            "# id=a lang=en origin=D_S\nz\n"
+        )
+        with pytest.raises(CorpusFormatError) as info:
+            load_corpus(path, format="tsv")
+        assert str(info.value) == f"{path} line 7: duplicate id 'a', first at line 1"
+
     def test_origin_language_invariant(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"id": "a", "lang": "es", "tokens": ["x"], "origin": "D_S"}\n')

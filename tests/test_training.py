@@ -5,7 +5,7 @@ import pytest
 
 from xlproject.corpus import AnnotatedSentence, Corpus, DatasetTag
 from xlproject.features import HashedNgramFeaturizer
-from xlproject.metrics import corpus_token_f1
+from xlproject.metrics import corpus_token_f1, macro_f1
 from xlproject.model import LinearModel, LoraAdapter, loss_and_grads
 from xlproject.optim import AdamWState, adamw_step
 from xlproject.synthetic import synthetic_corpus
@@ -16,9 +16,6 @@ from xlproject.training import (
     TrainConfig,
     TrainConfigError,
     TrainedModel,
-    _emotion_instances,
-    _trigger_instances,
-    _validation_score,
     load_model,
     save_model,
     train,
@@ -127,8 +124,33 @@ class TestTrain:
         assert corpus_token_f1(pairs) >= 0.95
 
 
+def reference_instances(featurizer, task, corpus):
+    """(features, label) per training row, featurized sentence by sentence."""
+    if task == "emotion":
+        label_index = {label: i for i, label in enumerate(EMOTION_ORDER)}
+        return [
+            (featurizer.sentence_features(s.tokens), label_index[s.emotion])
+            for s in corpus.sentences
+        ]
+    return [
+        (x, label)
+        for s in corpus.sentences
+        for x, label in zip(featurizer.token_features(s.tokens), s.trigger_mask)
+    ]
+
+
+def reference_validation_score(trained, validation):
+    """Validation score from the per-sentence predict methods."""
+    if trained.task == "emotion":
+        gold = [s.emotion for s in validation.sentences]
+        return macro_f1(gold, [trained.predict_emotion(s) for s in validation.sentences])
+    pairs = [(s.trigger_mask, trained.predict_mask(s)) for s in validation.sentences]
+    return corpus_token_f1(pairs)
+
+
 def dense_reference_train(corpus, task, config, validation):
-    """The dense training loop: every AdamW step updates all feature columns."""
+    """The dense training loop: every AdamW step updates all feature columns,
+    and every epoch re-featurizes the validation corpus sentence by sentence."""
     featurizer = HashedNgramFeaturizer(dim=config.feature_dim, salt=config.feature_salt)
     num_classes = len(EMOTION_ORDER) if task == "emotion" else 2
     rng = np.random.default_rng(config.seed)
@@ -139,11 +161,7 @@ def dense_reference_train(corpus, task, config, validation):
             num_classes, config.feature_dim, rank=config.lora.rank,
             alpha=config.lora.alpha, rng=rng,
         )
-    instances = (
-        _emotion_instances(featurizer, corpus)
-        if task == "emotion"
-        else _trigger_instances(featurizer, corpus)
-    )
+    instances = reference_instances(featurizer, task, corpus)
 
     def current_params():
         if adapter is not None:
@@ -178,7 +196,7 @@ def dense_reference_train(corpus, task, config, validation):
             apply_params(params)
             step += 1
         record = {"epoch": epoch, "train_loss": epoch_loss / len(instances)}
-        score = _validation_score(trained, validation)
+        score = reference_validation_score(trained, validation)
         record["validation_score"] = score
         if score > best_score:
             best_score = score
@@ -215,7 +233,7 @@ class TestTouchedColumnTraining:
         trained = train(corpus, "trigger", config)
         featurizer = HashedNgramFeaturizer(dim=config.feature_dim)
         touched = np.zeros(config.feature_dim, dtype=bool)
-        for x, _ in _trigger_instances(featurizer, corpus):
+        for x, _ in reference_instances(featurizer, "trigger", corpus):
             touched[x.indices] = True
         initial = LoraAdapter.init(
             2, config.feature_dim, rank=3, alpha=8.0, rng=np.random.default_rng(config.seed)
@@ -252,6 +270,19 @@ class TestCheckpoints:
         assert loaded.adapter.alpha == 8.0
         assert loaded.adapter.A.tobytes() == trained.adapter.A.tobytes()
         assert loaded.adapter.B.tobytes() == trained.adapter.B.tobytes()
+
+    def test_missing_array_rejected_naming_the_file(self, tmp_path):
+        config = small_config(epochs=1, lora=LoraConfig(rank=2, alpha=8.0))
+        trained = train(synthetic_corpus(10, seed=10), "trigger", config)
+        path = tmp_path / "model.npz"
+        save_model(trained, path)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files if name != "B"}
+        with open(path, "wb") as handle:
+            np.savez(handle, **arrays)
+        with pytest.raises(ValueError, match="array B is missing") as info:
+            load_model(path)
+        assert str(path) in str(info.value)
 
     def test_predictions_survive_round_trip(self, tmp_path):
         corpus = synthetic_corpus(30, seed=11)
