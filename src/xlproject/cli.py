@@ -13,6 +13,7 @@ import json
 import re
 import sys
 import traceback
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import yaml
@@ -134,13 +135,20 @@ def file_sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def build_provenance(command: str, settings: dict, inputs: list[Path], seed=None) -> dict:
+def build_provenance(
+    command: str, settings: dict, inputs: list[Path], seed=None, digests: dict | None = None
+) -> dict:
+    """The provenance sidecar's record; ``digests`` holds input hashes already
+    computed, by path, and every other input is hashed here."""
     canonical = json.dumps(settings, sort_keys=True, default=str)
+    digests = digests or {}
     return {
         "command": command,
         "config_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
         "seed": seed,
-        "inputs": {str(p): file_sha256(Path(p)) for p in inputs},
+        "inputs": {
+            str(p): digests[p] if p in digests else file_sha256(Path(p)) for p in inputs
+        },
     }
 
 
@@ -179,11 +187,11 @@ def parse_scheme(text: str | None) -> MarkerScheme:
         raise ConfigError(f"invalid marker scheme {text!r}: {exc}") from None
 
 
-def _load(path: str, format: str) -> Corpus:
+def _load(path: str, format: str, seen: dict | None = None) -> Corpus:
     file_path = Path(path)
     if not file_path.exists():
         raise DataError(f"input file not found: {path}")
-    return load_corpus(file_path, format=format)
+    return load_corpus(file_path, format=format, seen=seen)
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +345,10 @@ def cmd_combine(args, config) -> None:
             raise ConfigError(f"combination includes {tag.value} but no path was given")
         # a tag may span several files (one per target language)
         merged = Corpus()
+        seen: dict = {}  # ids must be unique across the tag's files too
         for path in paths[tag]:
-            merged.sentences.extend(_load(path, args.format).sentences)
+            merged.sentences.extend(_load(path, args.format, seen).sentences)
             inputs.append(Path(path))
-        merged.validate()
         corpora[tag] = merged
     combined = build_dataset(spec, corpora)
     combined.provenance.update(
@@ -394,9 +402,18 @@ def cmd_train(args, config) -> None:
 
 
 def cmd_predict(args, config) -> None:
-    trained = load_model(Path(args.model))
-    corpus = _load(args.input, args.format)
-    records = trained.predict(corpus)
+    model = Path(args.model)
+    # The checkpoint (134 MB for a rank-64 adapter at the default dim) is
+    # hashed while it is loaded and used; hashlib releases the GIL.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        model_digest = pool.submit(file_sha256, model)
+        trained = load_model(model)
+        corpus = _load(args.input, args.format)
+        records = trained.predict(corpus)
+        try:
+            digests = {model: model_digest.result()}
+        except OSError as exc:
+            raise DataError(f"{model}: cannot hash the checkpoint: {exc}") from None
     output = Path(args.output)
     write_jsonl(records, output)
     write_provenance(
@@ -404,7 +421,8 @@ def cmd_predict(args, config) -> None:
         build_provenance(
             "predict",
             {"task": trained.task, "format": args.format},
-            [Path(args.model), Path(args.input)],
+            [model, Path(args.input)],
+            digests=digests,
         ),
     )
     print(f"predicted {len(records)} sentences ({trained.task})")

@@ -185,13 +185,20 @@ def write_provenance(path: Path, provenance: dict) -> None:
     )
 
 
-def load_corpus(path: str | Path, format: str = "jsonl") -> Corpus:
-    """Load a corpus file; raises :class:`CorpusFormatError` naming the offending line."""
+def load_corpus(
+    path: str | Path, format: str = "jsonl", seen: dict[str, tuple[Path, int]] | None = None
+) -> Corpus:
+    """Load a corpus file; raises :class:`CorpusFormatError` naming the offending line.
+
+    ``seen`` maps each id to the file and line that gave it first; share one
+    between calls to require ids unique across several files.
+    """
     path = Path(path)
+    seen = {} if seen is None else seen
     if format == "jsonl":
-        sentences = _load_jsonl(path)
+        sentences = _load_jsonl(path, seen)
     elif format == "tsv":
-        sentences = _load_tsv(path)
+        sentences = _load_tsv(path, seen)
     else:
         raise ValueError(f"unknown format {format!r}")
     provenance: dict = {}
@@ -201,18 +208,20 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> Corpus:
     return Corpus(sentences=sentences, provenance=provenance)
 
 
-def _check_new_id(first_line: dict[str, int], sid: str, path: Path, lineno: int) -> None:
-    """Record that ``sid`` starts at ``lineno``; reject an id seen before."""
-    first = first_line.setdefault(sid, lineno)
-    if first != lineno:
+def _check_new_id(seen: dict[str, tuple[Path, int]], sid: str, path: Path, lineno: int) -> None:
+    """Record that ``sid`` starts at ``lineno`` of ``path``; reject an id seen before."""
+    if sid in seen:
+        first_path, first = seen[sid]
+        # The file is named unless it is an earlier line of this same reading.
+        where = "" if first_path == path and first < lineno else f"{first_path} "
         raise CorpusFormatError(
-            f"{path} line {lineno}: duplicate id {sid!r}, first at line {first}"
+            f"{path} line {lineno}: duplicate id {sid!r}, first at {where}line {first}"
         )
+    seen[sid] = (path, lineno)
 
 
-def _load_jsonl(path: Path) -> list[AnnotatedSentence]:
+def _load_jsonl(path: Path, seen: dict[str, tuple[Path, int]]) -> list[AnnotatedSentence]:
     sentences = []
-    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
@@ -225,7 +234,7 @@ def _load_jsonl(path: Path) -> list[AnnotatedSentence]:
                 sent = _sentence_from_record(record)
             except CorpusFormatError as exc:
                 raise CorpusFormatError(f"{exc} at line {lineno}") from None
-            _check_new_id(first_line, sent.id, path, lineno)
+            _check_new_id(seen, sent.id, path, lineno)
             sentences.append(sent)
     return sentences
 
@@ -246,14 +255,13 @@ def _parse_tsv_header(line: str) -> dict:
     return fields
 
 
-def _load_tsv(path: Path) -> list[AnnotatedSentence]:
+def _load_tsv(path: Path, seen: dict[str, tuple[Path, int]]) -> list[AnnotatedSentence]:
     sentences = []
     header: dict | None = None
     header_line = 0
     tokens: list[str] = []
     mask: list[int] = []
     mask_seen: bool | None = None
-    first_line: dict[str, int] = {}
 
     def flush() -> None:
         nonlocal header, tokens, mask, mask_seen
@@ -272,7 +280,7 @@ def _load_tsv(path: Path) -> list[AnnotatedSentence]:
             sent.validate()
         except CorpusFormatError as exc:
             raise CorpusFormatError(f"{exc} at line {header_line}") from None
-        _check_new_id(first_line, sent.id, path, header_line)
+        _check_new_id(seen, sent.id, path, header_line)
         sentences.append(sent)
         header, tokens, mask, mask_seen = None, [], [], None
 

@@ -53,13 +53,24 @@ class FeatureBlock:
         lo, hi = self.indptr[r], self.indptr[r + 1]
         return FeatureVector(self.indices[lo:hi], self.values[lo:hi], self.dim)
 
+    @classmethod
+    def stack(cls, rows: Sequence[FeatureVector], dim: int) -> FeatureBlock:
+        """A block of these vectors, one row each, in order."""
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(x.indices) for x in rows], out=indptr[1:])
+        indices = np.concatenate([np.zeros(0, dtype=np.int64)] + [x.indices for x in rows])
+        values = np.concatenate([np.zeros(0)] + [x.values for x in rows])
+        return cls(indptr, indices, values, dim)
+
     def compact(self) -> tuple[np.ndarray, FeatureBlock]:
         """The sorted feature columns the rows touch, and the block re-indexed
         onto ``0..K-1`` in that order."""
-        cols = np.unique(self.indices)
-        return cols, FeatureBlock(
-            self.indptr, np.searchsorted(cols, self.indices), self.values, len(cols)
-        )
+        touched = np.zeros(self.dim, dtype=bool)
+        touched[self.indices] = True
+        cols = np.flatnonzero(touched)
+        position = np.empty(self.dim, dtype=np.int64)  # read only at touched columns
+        position[cols] = np.arange(len(cols))
+        return cols, FeatureBlock(self.indptr, position[self.indices], self.values, len(cols))
 
 
 # Sentences whose feature keys are counted together: bounds featurize's scratch memory.

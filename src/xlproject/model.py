@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureVector
+from .features import FeatureBlock, FeatureVector
 from .metrics import Attributions
 
 
@@ -70,61 +70,146 @@ class LoraAdapter:
         return self.scaling * (self.B @ self.A)
 
 
-def forward(model: LinearModel, adapter: LoraAdapter | None, x: FeatureVector) -> np.ndarray:
-    """Logits for one sparse input: W0 x + b, plus the adapter path if present."""
-    if x.dim != model.num_features:
-        raise ValueError(f"feature dim mismatch: {x.dim} vs {model.num_features}")
-    logits = model.W0[:, x.indices] @ x.values + model.b
-    if adapter is not None:
-        u = adapter.A[:, x.indices] @ x.values
-        logits = logits + adapter.scaling * (adapter.B @ u)
-    return logits
+# Rows whose logits are computed together: bounds the (classes x nonzeros) scratch array.
+_CHUNK_ROWS = 256
+
+
+def restrict(
+    model: LinearModel, adapter: LoraAdapter | None, cols: np.ndarray
+) -> tuple[LinearModel, LoraAdapter | None]:
+    """The head over the feature columns ``cols`` only: ``W0`` and ``A`` are
+    sliced (copied), ``b`` and ``B`` shared."""
+    head = LinearModel(W0=np.take(model.W0, cols, axis=1), b=model.b)
+    if adapter is None:
+        return head, None
+    return head, LoraAdapter(
+        A=np.take(adapter.A, cols, axis=1), B=adapter.B, rank=adapter.rank, alpha=adapter.alpha
+    )
+
+
+def _merged_weights(model: LinearModel, adapter: LoraAdapter | None) -> np.ndarray:
+    """``W0 + (alpha/r) B A``. The product is summed over the rank in a fixed
+    order, so a column's weights depend on that column alone and not on how
+    many columns there are, as a BLAS product's may."""
+    if adapter is None:
+        return model.W0
+    merged = np.zeros_like(model.W0)
+    term = np.empty_like(merged)
+    for k in range(adapter.rank):
+        merged += np.multiply(adapter.B[:, k, None], adapter.A[k], out=term)
+    merged *= adapter.scaling
+    merged += model.W0
+    return merged
+
+
+def _logits(weights: np.ndarray, bias: np.ndarray, block: FeatureBlock) -> np.ndarray:
+    """(rows, classes) logits ``weights x + bias`` of every row of a block whose
+    columns are the columns of ``weights``. Each row is summed over its own
+    nonzeros only, so its logits do not depend on the rows beside it."""
+    out = np.empty((len(block), len(bias)))
+    for lo in range(0, len(block), _CHUNK_ROWS):
+        ptr = block.indptr[lo:lo + _CHUNK_ROWS + 1]
+        terms = np.take(weights, block.indices[ptr[0]:ptr[-1]], axis=1)
+        terms *= block.values[ptr[0]:ptr[-1]]
+        sums = np.zeros((len(bias), len(ptr) - 1))
+        nonempty = ptr[1:] > ptr[:-1]
+        sums[:, nonempty] = np.add.reduceat(terms, ptr[:-1][nonempty] - ptr[0], axis=1)
+        out[lo:lo + len(ptr) - 1] = sums.T
+    out += bias
+    return out
+
+
+def _check_dim(model: LinearModel, dim: int) -> None:
+    if dim != model.num_features:
+        raise ValueError(f"feature dim mismatch: {dim} vs {model.num_features}")
+
+
+def forward(
+    model: LinearModel, adapter: LoraAdapter | None, x: FeatureVector | FeatureBlock
+) -> np.ndarray:
+    """Logits ``W0 x + b`` plus the adapter path: shape (C,) for one sparse
+    vector, (rows, C) for every row of a block. Only the columns the input
+    touches are read; with an adapter, through the merged weights."""
+    _check_dim(model, x.dim)
+    block = FeatureBlock.stack([x], x.dim) if isinstance(x, FeatureVector) else x
+    cols, block = block.compact()
+    head, head_adapter = restrict(model, adapter, cols)
+    logits = _logits(_merged_weights(head, head_adapter), model.b, block)
+    return logits[0] if isinstance(x, FeatureVector) else logits
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max()
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum()
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def loss_and_grads(
     model: LinearModel,
     adapter: LoraAdapter | None,
-    batch: list[tuple[FeatureVector, int]],
+    batch: list[tuple[FeatureVector, int]] | FeatureBlock,
+    labels: np.ndarray | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy and gradients for the trainable parameters.
+
+    ``batch`` is a list of ``(FeatureVector, label)`` pairs, or a block with
+    each row's class in ``labels``. A block's columns are the model's columns;
+    :func:`restrict` the model to the batch's columns first, and the
+    gradients cover those columns only.
 
     With an adapter the base weights are frozen: gradients cover only A, B,
     and the bias. Without one they cover W0 and the bias.
     """
+    if labels is not None:
+        return _block_loss_and_grads(model, adapter, batch, np.asarray(labels))
     if not batch:
         raise ValueError("batch must be non-empty")
-    n = len(batch)
-    grads: dict[str, np.ndarray] = {"b": np.zeros_like(model.b)}
-    if adapter is not None:
-        grads["A"] = np.zeros_like(adapter.A)
-        grads["B"] = np.zeros_like(adapter.B)
-    else:
-        grads["W0"] = np.zeros_like(model.W0)
-    total = 0.0
-    for x, label in batch:
-        probs = softmax(forward(model, adapter, x))
-        total -= float(np.log(probs[label]))
-        dlogits = probs.copy()
-        dlogits[label] -= 1.0
-        grads["b"] += dlogits
-        if adapter is not None:
-            u = adapter.A[:, x.indices] @ x.values
-            grads["B"] += adapter.scaling * np.outer(dlogits, u)
-            grads["A"][:, x.indices] += adapter.scaling * np.outer(
-                adapter.B.T @ dlogits, x.values
-            )
-        else:
-            grads["W0"][:, x.indices] += np.outer(dlogits, x.values)
-    for key in grads:
-        grads[key] /= n
-    return total / n, grads
+    for x, _ in batch:
+        _check_dim(model, x.dim)
+    cols, block = FeatureBlock.stack([x for x, _ in batch], model.num_features).compact()
+    loss, local = _block_loss_and_grads(
+        *restrict(model, adapter, cols), block, np.array([label for _, label in batch])
+    )
+    key, full = ("A", adapter.A) if adapter is not None else ("W0", model.W0)
+    grad = np.zeros_like(full)
+    grad[:, cols] = local[key]
+    local[key] = grad
+    return loss, local
+
+
+def _block_loss_and_grads(
+    model: LinearModel, adapter: LoraAdapter | None, block: FeatureBlock, labels: np.ndarray
+) -> tuple[float, dict[str, np.ndarray]]:
+    n = len(block)
+    if n == 0:
+        raise ValueError("batch must be non-empty")
+    _check_dim(model, block.dim)
+    rows = np.arange(n)
+    probs = softmax(_logits(_merged_weights(model, adapter), model.b, block))
+    loss = -float(np.sum(np.log(probs[rows, labels]))) / n
+    dlogits = probs
+    dlogits[rows, labels] -= 1.0
+    # d[c, j] = sum over rows of dlogits[row, c] * x[row, j], added in row order.
+    terms = np.take(dlogits.T, np.repeat(rows, np.diff(block.indptr)), axis=1)
+    terms *= block.values
+    d = np.stack([np.bincount(block.indices, weights=t, minlength=block.dim) for t in terms])
+    grads = {"b": dlogits.sum(axis=0) / n}
+    if adapter is None:
+        d /= n
+        grads["W0"] = d
+        return loss, grads
+    # The adapter's gradients follow from d: dA = s B^T d, dB = s d A^T, each
+    # reduced in a fixed order (over classes, and over this batch's columns).
+    scale = adapter.scaling / n
+    grad_a = np.zeros_like(adapter.A)
+    for c in range(len(d)):
+        grad_a += adapter.B[c, :, None] * d[c]
+    grad_a *= scale
+    grads["A"] = grad_a
+    grads["B"] = np.stack([np.sum(adapter.A * row, axis=1) for row in d]) * scale
+    return loss, grads
 
 
 @dataclass
@@ -169,8 +254,11 @@ def first_subtoken_aggregate(
 
 
 def predict_binary(word_logits: list[np.ndarray] | np.ndarray) -> list[int]:
-    """Argmax per word; ties resolve to class 0 (not a trigger)."""
-    return [int(np.argmax(np.asarray(logits))) for logits in word_logits]
+    """Argmax per word (per row of a logits array); ties resolve to the lower
+    class, 0 for a trigger head (not a trigger)."""
+    if len(word_logits) == 0:
+        return []
+    return np.argmax(np.asarray(word_logits), axis=-1).tolist()
 
 
 def numeric_from_logits(word_logits: list[np.ndarray] | np.ndarray) -> Attributions:

@@ -35,7 +35,9 @@ def adamw_step(
     theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta).
 
     Weight decay acts on the parameters directly, never through the moments.
-    Raises on non-finite gradients so training aborts before corrupting state.
+    The state's moments are updated in place; ``params`` is left as given and
+    the updated parameters are new arrays. Raises on non-finite gradients so
+    training aborts before corrupting state.
     """
     if set(params) != set(grads):
         raise ValueError(f"param/grad keys differ: {sorted(params)} vs {sorted(grads)}")
@@ -48,10 +50,25 @@ def adamw_step(
     bias2 = 1.0 - state.beta2**t
     updated: dict[str, np.ndarray] = {}
     for key, theta in params.items():
-        grad = grads[key]
-        state.m[key] = state.beta1 * state.m[key] + (1.0 - state.beta1) * grad
-        state.v[key] = state.beta2 * state.v[key] + (1.0 - state.beta2) * grad * grad
-        m_hat = state.m[key] / bias1
-        v_hat = state.v[key] / bias2
-        updated[key] = theta - lr * (m_hat / (np.sqrt(v_hat) + state.eps) + weight_decay * theta)
+        grad, m, v = grads[key], state.m[key], state.v[key]
+        scratch = np.empty_like(theta)
+        # The moments update in place, each term rounded as in
+        # beta * m + (1 - beta) * grad (* grad).
+        m *= state.beta1
+        m += np.multiply(1.0 - state.beta1, grad, out=scratch)
+        v *= state.beta2
+        np.multiply(1.0 - state.beta2, grad, out=scratch)
+        scratch *= grad
+        v += scratch
+        denom = np.divide(v, bias2, out=scratch)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step = np.divide(m, bias1)
+        step /= denom
+        # At weight_decay 0 the term would add a signed zero, which changes no
+        # updated parameter, so it is skipped.
+        if weight_decay != 0.0:
+            step += np.multiply(weight_decay, theta, out=scratch)
+        step *= lr
+        updated[key] = np.subtract(theta, step, out=step)
     return updated, state

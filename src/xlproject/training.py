@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from .model import (
     loss_and_grads,
     numeric_from_logits,
     predict_binary,
+    restrict,
 )
 from .optim import AdamWState, adamw_step
 
@@ -83,45 +85,28 @@ class TrainedModel:
     config: TrainConfig
     history: list[dict] = field(default_factory=list)
 
-    def _word_logits(self, sentence: AnnotatedSentence) -> list[np.ndarray]:
-        vectors = self.featurizer.token_features(sentence.tokens)
-        return [forward(self.model, self.adapter, x) for x in vectors]
-
     def predict_emotion(self, sentence: AnnotatedSentence) -> EmotionLabel:
-        x = self.featurizer.sentence_features(sentence.tokens)
-        logits = forward(self.model, self.adapter, x)
-        return EMOTION_ORDER[int(np.argmax(logits))]
+        return EmotionLabel(self.predict(Corpus(sentences=[sentence]))[0]["emotion"])
 
     def predict_mask(self, sentence: AnnotatedSentence) -> list[int]:
-        return predict_binary(self._word_logits(sentence))
+        return self.predict(Corpus(sentences=[sentence]))[0]["mask"]
 
     def predict_numeric(self, sentence: AnnotatedSentence) -> list[float]:
-        return numeric_from_logits(self._word_logits(sentence)).values
-
-    def _logits(self, cols: np.ndarray, block: FeatureBlock) -> list[np.ndarray]:
-        """Logits of every row of a compacted block, by ``forward`` on the
-        model sliced to the block's columns ``cols``."""
-        head = LinearModel(W0=self.model.W0[:, cols], b=self.model.b)
-        adapter = None
-        if self.adapter is not None:
-            adapter = LoraAdapter(
-                A=self.adapter.A[:, cols], B=self.adapter.B,
-                rank=self.adapter.rank, alpha=self.adapter.alpha,
-            )
-        return [forward(head, adapter, block.row(r)) for r in range(len(block))]
+        return self.predict(Corpus(sentences=[sentence]))[0]["numeric"]
 
     def predict(self, corpus: Corpus) -> list[dict]:
         """Prediction records of every sentence, from one featurization of the
-        corpus; the same values as the per-sentence ``predict_*`` methods."""
-        logits = self._logits(*_featurize(self.featurizer, self.task, corpus).compact())
+        corpus and one set of logits."""
+        logits = forward(self.model, self.adapter, _featurize(self.featurizer, self.task, corpus))
         if self.task == "emotion":
             return [
-                {"id": s.id, "emotion": EMOTION_ORDER[int(np.argmax(row))].value}
-                for s, row in zip(corpus.sentences, logits)
+                {"id": s.id, "emotion": EMOTION_ORDER[label].value}
+                for s, label in zip(corpus.sentences, predict_binary(logits))
             ]
+        masks = _per_sentence(predict_binary(logits), corpus)
         return [
-            {"id": s.id, "mask": predict_binary(rows), "numeric": numeric_from_logits(rows).values}
-            for s, rows in zip(corpus.sentences, _per_sentence(logits, corpus))
+            {"id": s.id, "mask": mask, "numeric": numeric_from_logits(rows).values}
+            for s, mask, rows in zip(corpus.sentences, masks, _per_sentence(logits, corpus))
         ]
 
 
@@ -155,24 +140,22 @@ def _labels(task: str, corpus: Corpus) -> list[int]:
     return [label for s in corpus.sentences for label in s.trigger_mask]
 
 
-def _per_sentence(token_logits: list[np.ndarray], corpus: Corpus) -> list[list[np.ndarray]]:
-    """Token-row logits grouped by the sentence they belong to."""
+def _per_sentence(token_rows, corpus: Corpus) -> list:
+    """Per-token rows (a list or an array) grouped by the sentence they belong to."""
     groups, start = [], 0
     for sentence in corpus.sentences:
-        groups.append(token_logits[start:start + len(sentence.tokens)])
+        groups.append(token_rows[start:start + len(sentence.tokens)])
         start += len(sentence.tokens)
     return groups
 
 
-def _validation_score(task: str, validation: Corpus, logits: list[np.ndarray]) -> float:
+def _validation_score(task: str, validation: Corpus, logits: np.ndarray) -> float:
+    predicted = predict_binary(logits)
     if task == "emotion":
         gold = [s.emotion for s in validation.sentences]
-        return macro_f1(gold, [EMOTION_ORDER[int(np.argmax(row))] for row in logits])
-    pairs = [
-        (s.trigger_mask, predict_binary(rows))
-        for s, rows in zip(validation.sentences, _per_sentence(logits, validation))
-    ]
-    return corpus_token_f1(pairs)
+        return macro_f1(gold, [EMOTION_ORDER[label] for label in predicted])
+    masks = _per_sentence(predicted, validation)
+    return corpus_token_f1([(s.trigger_mask, mask) for s, mask in zip(validation.sentences, masks)])
 
 
 def train(
@@ -220,22 +203,15 @@ def train(
 
     # Both corpora are featurized once, up front.
     cols, block = _featurize(featurizer, task, corpus).compact()
-    labels = _labels(task, corpus)
-    validation_rows = None  # (columns, compacted block), like the training set's
-    if validation is not None:
-        validation_rows = _featurize(featurizer, task, validation).compact()
+    labels = np.array(_labels(task, corpus))
+    validation_block = None if validation is None else _featurize(featurizer, task, validation)
     # The head trained over the touched columns only; B and b stay whole.
-    head = LinearModel(W0=model.W0[:, cols], b=model.b)
-    head_adapter = None
+    head, head_adapter = restrict(model, adapter, cols)
     rest = None  # untouched adapter columns, kept only while weight decay moves them
-    if adapter is not None:
-        head_adapter = LoraAdapter(
-            A=adapter.A[:, cols], B=adapter.B, rank=adapter.rank, alpha=adapter.alpha
-        )
-        if config.weight_decay > 0.0:
-            untouched = np.ones(config.feature_dim, dtype=bool)
-            untouched[cols] = False
-            rest = adapter.A[:, untouched]
+    if adapter is not None and config.weight_decay > 0.0:
+        untouched = np.ones(config.feature_dim, dtype=bool)
+        untouched[cols] = False
+        rest = adapter.A[:, untouched]
 
     def current_params():
         if head_adapter is not None:
@@ -262,6 +238,10 @@ def train(
             adapter.A[:, untouched] = rest
 
     state = AdamWState.init(current_params())
+    # The gradient of W0 (or A) over the touched columns: each step writes its
+    # batch's columns and zeroes them again after the update.
+    wide = "A" if adapter is not None else "W0"
+    wide_grad = np.zeros_like(current_params()[wide])
     steps_per_epoch = (len(labels) + config.batch_size - 1) // config.batch_size
     total_steps = steps_per_epoch * config.epochs
     best_score = -1.0
@@ -272,14 +252,21 @@ def train(
         order = rng.permutation(len(labels))
         epoch_loss = 0.0
         for start in range(0, len(labels), config.batch_size):
-            batch = [(block.row(i), labels[i]) for i in order[start:start + config.batch_size]]
-            loss, grads = loss_and_grads(head, head_adapter, batch)
-            epoch_loss += loss * len(batch)
+            rows = order[start:start + config.batch_size]
+            batch = FeatureBlock.stack([block.row(i) for i in rows], block.dim)
+            batch_cols, batch = batch.compact()
+            loss, grads = loss_and_grads(
+                *restrict(head, head_adapter, batch_cols), batch, labels[rows]
+            )
+            wide_grad[:, batch_cols] = grads[wide]
+            grads[wide] = wide_grad
+            epoch_loss += loss * len(rows)
             lr = config.lr
             if config.schedule == "linear":
                 lr = config.lr * (1.0 - step / total_steps)
             params, state = adamw_step(state, current_params(), grads, lr, config.weight_decay)
             apply_params(params)
+            wide_grad[:, batch_cols] = 0.0
             if rest is not None:
                 # The dense step of a zero-gradient column, term for term.
                 rest -= lr * (0.0 + config.weight_decay * rest)
@@ -287,7 +274,7 @@ def train(
         record = {"epoch": epoch, "train_loss": epoch_loss / len(labels)}
         if validation is not None:
             scatter()
-            score = _validation_score(task, validation, trained._logits(*validation_rows))
+            score = _validation_score(task, validation, forward(model, adapter, validation_block))
             record["validation_score"] = score
             if score > best_score:
                 best_score = score
@@ -336,11 +323,29 @@ def save_model(trained: TrainedModel, path: str | Path) -> None:
         np.savez(handle, meta=meta_bytes, **arrays)
 
 
+def _open_checkpoint(path: str | Path) -> np.lib.npyio.NpzFile:
+    try:
+        data = np.load(path)
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read the checkpoint: {exc.strerror or exc}") from None
+    except (EOFError, ValueError, zipfile.BadZipFile):  # numpy's guess at a format failed
+        data = None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: not a checkpoint: not an .npz archive")
+    return data
+
+
 def load_model(path: str | Path) -> TrainedModel:
-    """Load a checkpoint; raises ``ValueError`` naming the file when its arrays
-    disagree with its metadata (prediction relies on these shapes)."""
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+    """Load a checkpoint; raises ``ValueError`` naming the file when it is
+    missing, is not a checkpoint, or has arrays that disagree with its
+    metadata (prediction relies on these shapes)."""
+    with _open_checkpoint(path) as data:
+        if "meta" not in data.files:
+            raise ValueError(f"{path}: not a checkpoint: no meta entry")
+        try:
+            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"{path}: checkpoint metadata is not JSON: {exc}") from None
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')!r}")
         classes, dim = len(meta["classes"]), meta["feature"]["dim"]

@@ -2,21 +2,31 @@ import dataclasses
 import json
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 import yaml
 
+from xlproject import cli
 from xlproject.cli import (
     EXIT_BACKEND,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
     LlmResponseError,
+    build_provenance,
     main,
     parse_llm_response,
 )
-from xlproject.corpus import Corpus, EmotionLabel, load_corpus, save_corpus
+from xlproject.corpus import (
+    Corpus,
+    DatasetTag,
+    EmotionLabel,
+    load_corpus,
+    save_corpus,
+    write_provenance,
+)
 from xlproject.synthetic import mock_translation_table, synthetic_corpus
 from xlproject.training import LoraConfig, TrainConfig, load_model, save_model, train
 
@@ -132,6 +142,33 @@ class TestCommands:
             "--output", str(tmp_path / "out.jsonl"), "--tgt", "es",
         ])
         assert code == EXIT_DATA
+
+    def test_combine_names_both_files_of_a_duplicate_id(self, tmp_path, capsys):
+        save_corpus(synthetic_corpus(3, seed=1), tmp_path / "d_s.jsonl")
+        target = [
+            dataclasses.replace(s, origin=DatasetTag.D_T, language="es")
+            for s in synthetic_corpus(4, seed=2, id_prefix="t").sentences
+        ]
+        save_corpus(Corpus(sentences=target[:3]), tmp_path / "d_t_es.jsonl")
+        save_corpus(Corpus(sentences=[target[3], target[1]]), tmp_path / "d_t_fr.jsonl")
+        argv = [
+            "combine", "--combine", "D_S+D_T", "--d-s", str(tmp_path / "d_s.jsonl"),
+            "--d-t", str(tmp_path / "d_t_es.jsonl"), "--d-t", str(tmp_path / "d_t_fr.jsonl"),
+            "--output", str(tmp_path / "out.jsonl"),
+        ]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert (
+            f"{tmp_path / 'd_t_fr.jsonl'} line 2: duplicate id 't-0001', "
+            f"first at {tmp_path / 'd_t_es.jsonl'} line 2"
+        ) in err
+        assert not (tmp_path / "out.jsonl").exists()
+        twice = argv[:7] + ["--d-t", str(tmp_path / "d_t_es.jsonl")] + argv[9:]
+        assert main(twice) == EXIT_DATA
+        assert "duplicate id 't-0000'" in capsys.readouterr().err
+        save_corpus(Corpus(sentences=target[3:]), tmp_path / "d_t_fr.jsonl")
+        assert main(argv) == EXIT_OK
+        assert len(load_corpus(tmp_path / "out.jsonl")) == 3 + 4
 
     def test_remote_without_cache_is_config_error(self, tmp_path):
         corpus = synthetic_corpus(2, seed=1)
@@ -315,6 +352,48 @@ class TestPredict:
         code, predictions = self.predict(tmp_path, model, Corpus())
         assert code == EXIT_OK
         assert predictions.read_bytes() == b""
+
+    def test_sidecar_equals_sequential_hashing(self, tmp_path):
+        model = self.trained_model(tmp_path, "trigger", LoraConfig(rank=3, alpha=8.0))
+        code, predictions = self.predict(tmp_path, model, synthetic_corpus(5, seed=6))
+        assert code == EXIT_OK
+        expected = tmp_path / "expected.jsonl"
+        write_provenance(expected, build_provenance(
+            "predict", {"task": "trigger", "format": "jsonl"}, [model, tmp_path / "test.jsonl"],
+        ))
+        sidecar = predictions.with_name(predictions.name + ".provenance.json")
+        assert sidecar.read_bytes() == expected.with_name(
+            expected.name + ".provenance.json").read_bytes()
+
+    @pytest.mark.parametrize("content", [None, b"", b"not a checkpoint\n"],
+                             ids=["missing", "empty", "text"])
+    def test_unreadable_model_is_a_data_error_naming_it(self, tmp_path, capsys, content):
+        model = tmp_path / "model.npz"
+        if content is not None:
+            model.write_bytes(content)
+        code, predictions = self.predict(tmp_path, model, synthetic_corpus(3, seed=6))
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {model}: " in err and "Traceback" not in err
+        assert not predictions.exists()
+
+    def test_failed_checkpoint_hash_is_a_data_error(self, tmp_path, capsys, monkeypatch):
+        model = self.trained_model(tmp_path, "trigger", None)
+
+        def unreadable(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli, "file_sha256", unreadable)
+        codes = []
+        worker = threading.Thread(
+            target=lambda: codes.append(self.predict(tmp_path, model, synthetic_corpus(3, seed=6))))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        [(code, predictions)] = codes
+        assert code == EXIT_DATA
+        assert f"data error: {model}: cannot hash the checkpoint" in capsys.readouterr().err
+        assert not predictions.exists()
 
     @pytest.mark.parametrize("section, key", [("feature", "dim"), ("lora", "rank")])
     def test_checkpoint_disagreeing_with_metadata_rejected(self, tmp_path, capsys, section, key):

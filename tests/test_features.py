@@ -149,3 +149,37 @@ class TestFeatureBlock:
         assert np.array_equal(compact.values, block.values)
         for r in range(len(block)):
             assert np.array_equal(cols[compact.row(r).indices], block.row(r).indices)
+
+
+@st.composite
+def random_blocks(draw):
+    """Blocks of sorted unique indices per row, some rows empty, dims down to 2."""
+    dim = draw(st.sampled_from([2, 3, 17, 1000, 2**18]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = [int(rng.integers(0, min(dim, 12) + 1)) for _ in range(draw(st.integers(0, 30)))]
+    rows = [np.sort(rng.choice(dim, size=k, replace=False)) for k in sizes]
+    indptr = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+    indices = np.concatenate([np.zeros(0, dtype=np.int64)] + rows).astype(np.int64)
+    return FeatureBlock(indptr, indices, rng.normal(size=len(indices)), dim)
+
+
+@settings(max_examples=150, deadline=None)
+@given(block=random_blocks())
+def test_compact_equals_unique_and_searchsorted(block):
+    cols, compact = block.compact()
+    want = np.unique(block.indices)
+    assert cols.dtype == want.dtype and np.array_equal(cols, want)
+    remapped = np.searchsorted(want, block.indices)
+    assert compact.indices.dtype == remapped.dtype and np.array_equal(compact.indices, remapped)
+    assert compact.dim == len(want)
+    assert compact.indptr is block.indptr and compact.values is block.values
+
+
+def test_stack_rebuilds_the_block_from_its_rows():
+    block = HashedNgramFeaturizer(dim=64).featurize([["a", "b"], ["c"], ["a", "d", "e"]])
+    rows = [block.row(r) for r in range(len(block))]
+    stacked = FeatureBlock.stack(rows, block.dim)
+    for name in ("indptr", "indices", "values"):
+        assert np.array_equal(getattr(stacked, name), getattr(block, name))
+    empty = FeatureBlock.stack([], 64)
+    assert len(empty) == 0 and empty.indices.dtype == np.int64

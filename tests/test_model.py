@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xlproject.features import FeatureVector, HashedNgramFeaturizer
+from xlproject.features import FeatureBlock, FeatureVector, HashedNgramFeaturizer
 from xlproject.model import (
     LinearModel,
     LoraAdapter,
@@ -17,6 +19,8 @@ from xlproject.model import (
     softmax,
 )
 from xlproject.optim import AdamWState, adamw_step
+
+import per_instance_oracle
 
 
 def random_sparse(rng, dim, nnz=5):
@@ -222,9 +226,35 @@ class TestLoraContracts:
 class TestAdamW:
     def test_null_step_keeps_params(self):
         params = {"w": np.array([1.0, -2.0])}
+        before = {key: p.copy() for key, p in params.items()}
         state = AdamWState.init(params)
         updated, _ = adamw_step(state, params, {"w": np.zeros(2)}, lr=0.1, weight_decay=0.0)
         assert np.array_equal(updated["w"], params["w"])
+        assert np.array_equal(updated["w"], before["w"])
+        assert np.array_equal(params["w"], before["w"])
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_bit_identical_to_out_of_place_oracle(self, weight_decay):
+        rng = np.random.default_rng(17)
+        params = {"W0": rng.normal(size=(3, 50)), "b": np.zeros(3)}
+        params["W0"][0, :5] = 0.0
+        state = AdamWState.init(params)
+        want, oracle = params, ({k: np.zeros_like(p) for k, p in params.items()},) * 2 + (0,)
+        for _ in range(20):
+            grads = {"W0": np.zeros((3, 50)), "b": rng.normal(size=3)}
+            cols = rng.choice(50, size=6, replace=False)
+            grads["W0"][:, cols] = rng.normal(size=(3, 6))
+            grads["W0"][1, cols[0]] = -0.0
+            given, copies = params, {k: p.copy() for k, p in params.items()}
+            moments = dict(state.m)
+            params, state = adamw_step(state, params, grads, lr=2e-4, weight_decay=weight_decay)
+            want, oracle = per_instance_oracle.adamw_step(oracle, want, grads, 2e-4, weight_decay)
+            for key in params:
+                assert params[key].tobytes() == want[key].tobytes()
+                assert state.m[key].tobytes() == oracle[0][key].tobytes()
+                assert state.v[key].tobytes() == oracle[1][key].tobytes()
+                assert state.m[key] is moments[key]  # updated in place
+                assert given[key].tobytes() == copies[key].tobytes()  # left as given
 
     def test_hand_derived_first_step(self):
         # t=1: m_hat = 1, v_hat = 1 -> theta' = 1 - 0.1 / (1 + eps) ~ 0.9
@@ -329,3 +359,67 @@ class TestAggregationAndHeads:
             assert abs(values.sum() - 1.0) < 1e-12
             assert np.all(values > 0)
             assert int(np.argmax(values)) == int(np.argmax(logits[:, 1]))
+
+
+def random_head(rng, classes, dim, rank):
+    model = LinearModel(W0=rng.normal(size=(classes, dim)) * 0.5, b=rng.normal(size=classes))
+    if rank is None:
+        return model, None
+    return model, LoraAdapter(
+        A=rng.normal(size=(rank, dim)) * 0.3, B=rng.normal(size=(classes, rank)) * 0.3,
+        rank=rank, alpha=16.0,
+    )
+
+
+class TestBlockCore:
+    """The whole-block path against the per-instance code it replaced."""
+
+    @pytest.mark.parametrize("classes", [2, 6])
+    @pytest.mark.parametrize("rank", [None, 1, 8], ids=["plain", "r1", "r8"])
+    def test_loss_and_grads_match_per_instance_oracle(self, classes, rank):
+        rng = np.random.default_rng(31 + classes)
+        for _ in range(20):
+            dim = int(rng.integers(2, 300))
+            model, adapter = random_head(rng, classes, dim, rank)
+            batch = [
+                (random_sparse(rng, dim, nnz=int(rng.integers(0, 30))), int(rng.integers(classes)))
+                for _ in range(int(rng.integers(1, 40)))
+            ]
+            loss, grads = loss_and_grads(model, adapter, batch)
+            want_loss, want = per_instance_oracle.loss_and_grads(model, adapter, batch)
+            assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+            assert set(grads) == set(want)
+            for key in want:
+                assert grads[key].shape == want[key].shape
+                assert per_instance_oracle.relative_difference(grads[key], want[key]) <= 1e-12
+
+    @pytest.mark.parametrize("rank", [None, 4], ids=["plain", "lora"])
+    def test_forward_matches_per_instance_oracle(self, rank):
+        rng = np.random.default_rng(37)
+        model, adapter = random_head(rng, 6, 200, rank)
+        vectors = [random_sparse(rng, 200, nnz=int(rng.integers(0, 40))) for _ in range(600)]
+        block = FeatureBlock.stack(vectors, 200)
+        want = np.array([per_instance_oracle.forward(model, adapter, x) for x in vectors])
+        got = forward(model, adapter, block)
+        assert per_instance_oracle.relative_difference(got, want) <= 1e-12
+        for x, row in zip(vectors[:50], want):
+            assert per_instance_oracle.relative_difference(forward(model, adapter, x), row) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rank=st.sampled_from([None, 1, 3, 64]),
+        classes=st.sampled_from([2, 6]),
+        dim=st.sampled_from([2, 7, 64, 4096]),
+        rows=st.integers(1, 600),
+    )
+    def test_row_logits_do_not_depend_on_the_batch(self, seed, rank, classes, dim, rows):
+        rng = np.random.default_rng(seed)
+        model, adapter = random_head(rng, classes, dim, rank)
+        vectors = [random_sparse(rng, dim, nnz=int(rng.integers(0, 50))) for _ in range(rows)]
+        whole = forward(model, adapter, FeatureBlock.stack(vectors, dim))
+        subset = rng.permutation(rows)[: int(rng.integers(1, rows + 1))]
+        part = forward(model, adapter, FeatureBlock.stack([vectors[i] for i in subset], dim))
+        assert part.tobytes() == whole[subset].tobytes()
+        for i in subset[:5]:
+            assert forward(model, adapter, vectors[i]).tobytes() == whole[i].tobytes()

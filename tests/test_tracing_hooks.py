@@ -5,8 +5,10 @@ looks them up. A rename there would only show as a crash of a traced
 benchmark run; this test makes it fail here instead.
 """
 import importlib.util
+import threading
 from pathlib import Path
 
+from xlproject import cli
 from xlproject.cli import EXIT_OK, main
 from xlproject.corpus import save_corpus
 from xlproject.features import HashedNgramFeaturizer
@@ -23,9 +25,27 @@ def load_tracing():
     return module
 
 
-def test_install_wraps_every_hook_and_uninstall_restores_it(tmp_path):
+def ancestors(spans, span):
+    by_id = {s[0]: s for s in spans}
+    names = []
+    while span[1] is not None:
+        span = by_id[span[1]]
+        names.append(span[2])
+    return names
+
+
+def test_install_wraps_every_hook_and_uninstall_restores_it(tmp_path, monkeypatch):
     tracing = load_tracing()
     tracer = tracing.Tracer(run_id="hooks")
+    # Under the tracer's wrapper: which span and thread hashed which file.
+    hashed = []
+    sha256 = cli.file_sha256
+
+    def recording_sha256(path):
+        hashed.append((Path(path).name, tracer._stack()[-1], threading.current_thread()))
+        return sha256(path)
+
+    monkeypatch.setattr(cli, "file_sha256", recording_sha256)
     tracing.install(tracer)
     patched = list(tracer._patched)
     try:
@@ -58,6 +78,13 @@ def test_install_wraps_every_hook_and_uninstall_restores_it(tmp_path):
         assert {span[2] for span in tracer.spans} >= {
             "training.train", "training.predict", "model.loss_and_grads", "optim.adamw_step",
         }
+        for name in ("model.loss_and_grads", "optim.adamw_step"):
+            steps = [span for span in tracer.spans if span[2] == name]
+            assert steps and all("training.train" in ancestors(tracer.spans, s) for s in steps)
+        assert len(hashed) == sum(span[2] == "cli.file_sha256" for span in tracer.spans)
+        [(span_id, thread)] = [(i, t) for name, i, t in hashed if name == "m.npz"]
+        assert tracer.spans[span_id][2] == "cli.file_sha256"
+        assert thread is not threading.main_thread()
     finally:
         tracer.uninstall()
     for owner, attr, original in patched:

@@ -21,6 +21,8 @@ from xlproject.training import (
     train,
 )
 
+import per_instance_oracle
+
 
 def small_config(**overrides):
     defaults = dict(lr=2e-4, batch_size=16, epochs=2, seed=0, feature_dim=2**12)
@@ -148,9 +150,30 @@ def reference_validation_score(trained, validation):
     return corpus_token_f1(pairs)
 
 
-def dense_reference_train(corpus, task, config, validation):
+def oracle_validation_score(trained, validation):
+    """Validation score from per-instance oracle logits of every row."""
+    instances = reference_instances(trained.featurizer, trained.task, validation)
+    predicted = [
+        int(np.argmax(per_instance_oracle.forward(trained.model, trained.adapter, x)))
+        for x, _ in instances
+    ]
+    if trained.task == "emotion":
+        gold = [s.emotion for s in validation.sentences]
+        return macro_f1(gold, [EMOTION_ORDER[label] for label in predicted])
+    pairs, start = [], 0
+    for s in validation.sentences:
+        pairs.append((s.trigger_mask, predicted[start:start + len(s.tokens)]))
+        start += len(s.tokens)
+    return corpus_token_f1(pairs)
+
+
+def dense_reference_train(corpus, task, config, validation, oracle=False):
     """The dense training loop: every AdamW step updates all feature columns,
-    and every epoch re-featurizes the validation corpus sentence by sentence."""
+    and every epoch re-featurizes the validation corpus sentence by sentence.
+    With ``oracle``, gradients and validation logits come from the
+    per-instance code the block path replaced."""
+    step_grads = per_instance_oracle.loss_and_grads if oracle else loss_and_grads
+    score_validation = oracle_validation_score if oracle else reference_validation_score
     featurizer = HashedNgramFeaturizer(dim=config.feature_dim, salt=config.feature_salt)
     num_classes = len(EMOTION_ORDER) if task == "emotion" else 2
     rng = np.random.default_rng(config.seed)
@@ -187,7 +210,7 @@ def dense_reference_train(corpus, task, config, validation):
         epoch_loss = 0.0
         for start in range(0, len(instances), config.batch_size):
             batch = [instances[i] for i in order[start:start + config.batch_size]]
-            loss, grads = loss_and_grads(model, adapter, batch)
+            loss, grads = step_grads(model, adapter, batch)
             epoch_loss += loss * len(batch)
             lr = config.lr
             if config.schedule == "linear":
@@ -196,7 +219,7 @@ def dense_reference_train(corpus, task, config, validation):
             apply_params(params)
             step += 1
         record = {"epoch": epoch, "train_loss": epoch_loss / len(instances)}
-        score = reference_validation_score(trained, validation)
+        score = score_validation(trained, validation)
         record["validation_score"] = score
         if score > best_score:
             best_score = score
@@ -226,6 +249,26 @@ class TestTouchedColumnTraining:
             assert np.array_equal(got.adapter.A, expected.adapter.A)
             assert np.array_equal(got.adapter.B, expected.adapter.B)
         assert got.history == expected.history
+
+    @pytest.mark.parametrize("task", ["emotion", "trigger"])
+    @pytest.mark.parametrize("lora", [None, LoraConfig(rank=3, alpha=8.0)], ids=["plain", "lora"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_agrees_with_per_instance_oracle(self, task, lora, weight_decay):
+        corpus = synthetic_corpus(40, seed=24)
+        validation = synthetic_corpus(12, seed=25, id_prefix="v")
+        config = small_config(
+            epochs=3, batch_size=8, lora=lora, weight_decay=weight_decay, feature_dim=2**11,
+        )
+        expected = dense_reference_train(corpus, task, config, validation, oracle=True)
+        got = train(corpus, task, config, validation=validation)
+        arrays = [(got.model.W0, expected.model.W0), (got.model.b, expected.model.b)]
+        if lora is not None:
+            arrays += [(got.adapter.A, expected.adapter.A), (got.adapter.B, expected.adapter.B)]
+        for value, want in arrays:
+            assert per_instance_oracle.relative_difference(value, want) <= 1e-12
+        for record, want in zip(got.history, expected.history, strict=True):
+            assert record["validation_score"] == want["validation_score"]
+            assert abs(record["train_loss"] - want["train_loss"]) <= 1e-12 * want["train_loss"]
 
     def test_untouched_adapter_columns_keep_initial_values(self):
         corpus = synthetic_corpus(10, seed=23)
