@@ -29,6 +29,9 @@ class AlignedPair:
         tgt_keys = {s.marker_index for s in self.target_spans}
         if src_keys != tgt_keys:
             raise ValueError(f"pair {self.source.id!r}: marker indices differ")
+        for sentence, spans in ((self.source, self.source_spans), (self.target, self.target_spans)):
+            if any(not 0 <= s.start < s.end <= len(sentence.tokens) for s in spans):
+                raise ValueError(f"pair {self.source.id!r}: span outside sentence {sentence.id!r}")
 
 
 def make_aligned_pair(source: AnnotatedSentence, projected: Projected) -> AlignedPair:

@@ -13,7 +13,6 @@ import json
 import re
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import yaml
@@ -27,6 +26,8 @@ from .corpus import (
     EmotionLabel,
     label_distribution,
     load_corpus,
+    load_pairs,
+    read_jsonl,
     save_corpus,
     split_train_validation,
     write_provenance,
@@ -302,24 +303,23 @@ def cmd_switch(args, config) -> None:
     source_by_id = {s.id: s for s in source.sentences}
     target_by_id = {s.id: s for s in target.sentences}
     pairs: list[AlignedPair] = []
-    with open(pairs_path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            source_id, target_id = record["source_id"], record["target_id"]
-            if source_id not in source_by_id:
-                raise DataError(f"pairs line {lineno}: id {source_id!r} missing from source corpus")
-            if target_id not in target_by_id:
-                raise DataError(f"pairs line {lineno}: id {target_id!r} missing from target corpus")
-            pair = AlignedPair(
-                source=source_by_id[source_id],
-                target=target_by_id[target_id],
-                source_spans=[TriggerSpan(*s) for s in record["source_spans"]],
-                target_spans=[TriggerSpan(*s) for s in record["target_spans"]],
-            )
+    for where, record in load_pairs(pairs_path):
+        sid, tid = record["source_id"], record["target_id"]
+        if sid not in source_by_id:
+            raise DataError(f"{where}: id {sid!r} missing from the source corpus")
+        if tid not in target_by_id:
+            raise DataError(f"{where}: id {tid!r} missing from the target corpus")
+        pair = AlignedPair(
+            source=source_by_id[sid],
+            target=target_by_id[tid],
+            source_spans=[TriggerSpan(*s) for s in record["source_spans"]],
+            target_spans=[TriggerSpan(*s) for s in record["target_spans"]],
+        )
+        try:
             pair.validate()
-            pairs.append(pair)
+        except ValueError as exc:
+            raise DataError(f"{where}: {exc}") from None
+        pairs.append(pair)
     st_corpus, ts_corpus = switch_corpus(pairs)
     provenance = build_provenance(
         "switch", {"format": args.format}, [Path(args.source), Path(args.target), pairs_path]
@@ -381,10 +381,6 @@ def cmd_train(args, config) -> None:
     except MissingLabelsError as exc:
         path = args.validation if exc.role == "validation" else args.input
         raise DataError(f"{path}: {exc}") from exc
-    except ValueError as exc:
-        if isinstance(exc, TrainConfigError):
-            raise
-        raise DataError(str(exc)) from exc
     output = Path(args.output)
     save_model(trained, output)
     inputs = [Path(args.input)] + ([Path(args.validation)] if args.validation else [])
@@ -403,17 +399,13 @@ def cmd_train(args, config) -> None:
 
 def cmd_predict(args, config) -> None:
     model = Path(args.model)
-    # The checkpoint (134 MB for a rank-64 adapter at the default dim) is
-    # hashed while it is loaded and used; hashlib releases the GIL.
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        model_digest = pool.submit(file_sha256, model)
-        trained = load_model(model)
-        corpus = _load(args.input, args.format)
-        records = trained.predict(corpus)
-        try:
-            digests = {model: model_digest.result()}
-        except OSError as exc:
-            raise DataError(f"{model}: cannot hash the checkpoint: {exc}") from None
+    trained = load_model(model)
+    try:
+        digests = {model: file_sha256(model)}
+    except OSError as exc:
+        raise DataError(f"{model}: cannot hash the checkpoint: {exc}") from None
+    corpus = _load(args.input, args.format)
+    records = trained.predict(corpus)
     output = Path(args.output)
     write_jsonl(records, output)
     write_provenance(
@@ -435,24 +427,16 @@ def cmd_evaluate(args, config) -> None:
         raise DataError(f"predictions file not found: {args.predictions}")
     by_id: dict[str, dict] = {}
     line_of: dict[str, int] = {}
-    with open(predictions_path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            where = f"{args.predictions} line {lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{where}: invalid JSON: {exc.msg}") from None
-            if not isinstance(record, dict) or not isinstance(record.get("id"), str):
-                raise DataError(f"{where}: expected an object with a string 'id'")
-            if record["id"] in line_of:
-                raise DataError(
-                    f"{where}: duplicate id {record['id']!r}, "
-                    f"first at line {line_of[record['id']]}"
-                )
-            line_of[record["id"]] = lineno
-            by_id[record["id"]] = record
+    for lineno, record in read_jsonl(predictions_path):
+        where = f"{args.predictions} line {lineno}"
+        if not isinstance(record, dict) or not isinstance(record.get("id"), str):
+            raise DataError(f"{where}: expected an object with a string 'id'")
+        if record["id"] in line_of:
+            raise DataError(
+                f"{where}: duplicate id {record['id']!r}, first at line {line_of[record['id']]}"
+            )
+        line_of[record["id"]] = lineno
+        by_id[record["id"]] = record
 
     missing = [s.id for s in gold.sentences if s.id not in by_id]
     if missing:

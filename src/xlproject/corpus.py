@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import unicodedata
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -13,6 +15,10 @@ LANGUAGES = ("en", "nl", "ru", "es", "fr")
 
 class CorpusFormatError(ValueError):
     """A corpus file or record violates the schema."""
+
+
+# Matches exactly the characters for which ``str.isspace()`` is true.
+_WHITESPACE = re.compile(r"\s").search
 
 
 class EmotionLabel(Enum):
@@ -88,7 +94,7 @@ class AnnotatedSentence:
         for tok in self.tokens:
             if not tok:
                 raise CorpusFormatError("empty token")
-            if any(ch.isspace() for ch in tok):
+            if _WHITESPACE(tok):
                 raise CorpusFormatError(f"token contains whitespace: {tok!r}")
         if self.language not in LANGUAGES:
             raise CorpusFormatError(
@@ -220,8 +226,9 @@ def _check_new_id(seen: dict[str, tuple[Path, int]], sid: str, path: Path, linen
     seen[sid] = (path, lineno)
 
 
-def _load_jsonl(path: Path, seen: dict[str, tuple[Path, int]]) -> list[AnnotatedSentence]:
-    sentences = []
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
+    """The line number and JSON value of every non-blank line of a file; a
+    line that is not JSON is a :class:`CorpusFormatError` naming file and line."""
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
@@ -229,14 +236,47 @@ def _load_jsonl(path: Path, seen: dict[str, tuple[Path, int]]) -> list[Annotated
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"invalid JSON at line {lineno}: {exc.msg}") from None
-            try:
-                sent = _sentence_from_record(record)
-            except CorpusFormatError as exc:
-                raise CorpusFormatError(f"{exc} at line {lineno}") from None
-            _check_new_id(seen, sent.id, path, lineno)
-            sentences.append(sent)
+                raise CorpusFormatError(f"{path} line {lineno}: invalid JSON: {exc.msg}") from None
+            yield lineno, record
+
+
+def _load_jsonl(path: Path, seen: dict[str, tuple[Path, int]]) -> list[AnnotatedSentence]:
+    sentences = []
+    for lineno, record in read_jsonl(path):
+        try:
+            sent = _sentence_from_record(record)
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(f"{exc} at line {lineno}") from None
+        _check_new_id(seen, sent.id, path, lineno)
+        sentences.append(sent)
     return sentences
+
+
+_PAIR_FIELDS = ("source_id", "target_id", "source_spans", "target_spans")
+
+
+def load_pairs(path: str | Path) -> Iterator[tuple[str, dict]]:
+    """Each record of a ``.pairs.jsonl`` span-alignment file with where it is,
+    ``<path> line <n>``; a malformed record is a :class:`CorpusFormatError`."""
+    for lineno, record in read_jsonl(path):
+        where = f"{path} line {lineno}"
+        if not isinstance(record, dict):
+            raise CorpusFormatError(f"{where}: record is not an object")
+        odd = sorted(set(_PAIR_FIELDS) ^ set(record))
+        if odd:
+            problem = "missing" if odd[0] in _PAIR_FIELDS else "unknown"
+            raise CorpusFormatError(f"{where}: {problem} field {odd[0]!r}")
+        if not all(isinstance(record[name], str) for name in _PAIR_FIELDS[:2]):
+            raise CorpusFormatError(f"{where}: the ids must be strings")
+        for name in _PAIR_FIELDS[2:]:
+            spans = record[name]
+            if not isinstance(spans, list) or not all(
+                type(s) is list and len(s) == 3 and all(type(v) is int for v in s) for s in spans
+            ):
+                raise CorpusFormatError(
+                    f"{where}: field {name!r} must be a list of [start, end, marker] integers"
+                )
+        yield where, record
 
 
 def _parse_tsv_header(line: str) -> dict:
@@ -350,7 +390,7 @@ def _save_tsv(corpus: Corpus, path: Path) -> None:
     lines: list[str] = []
     for sent in corpus.sentences:
         for value in (sent.id, sent.language):
-            if any(ch.isspace() for ch in value):
+            if _WHITESPACE(value):
                 raise CorpusFormatError(f"header value contains whitespace: {value!r}")
         for tok in sent.tokens:
             if "\t" in tok or "\n" in tok:

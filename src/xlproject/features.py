@@ -68,9 +68,19 @@ class FeatureBlock:
         touched = np.zeros(self.dim, dtype=bool)
         touched[self.indices] = True
         cols = np.flatnonzero(touched)
-        position = np.empty(self.dim, dtype=np.int64)  # read only at touched columns
+        return cols, self.select(cols)
+
+    def select(self, cols: np.ndarray) -> FeatureBlock:
+        """The block over the sorted feature columns ``cols`` only, re-indexed
+        onto ``0..K-1`` in that order; entries in any other column are dropped."""
+        position = np.full(self.dim, -1, dtype=np.int64)
         position[cols] = np.arange(len(cols))
-        return cols, FeatureBlock(self.indptr, position[self.indices], self.values, len(cols))
+        indices = position[self.indices]
+        kept = indices >= 0
+        if kept.all():  # nothing to drop: the rows are shared
+            return FeatureBlock(self.indptr, indices, self.values, len(cols))
+        ends = np.concatenate(([0], np.cumsum(kept)))  # entries kept before each position
+        return FeatureBlock(ends[self.indptr], indices[kept], self.values[kept], len(cols))
 
 
 # Sentences whose feature keys are counted together: bounds featurize's scratch memory.

@@ -14,12 +14,14 @@ class AdamWState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    scratch: dict[str, np.ndarray] = field(default_factory=dict)  # work arrays, reused
 
     @classmethod
     def init(cls, params: dict[str, np.ndarray], **kwargs) -> AdamWState:
         return cls(
             m={k: np.zeros_like(p) for k, p in params.items()},
             v={k: np.zeros_like(p) for k, p in params.items()},
+            scratch={k: np.empty_like(p) for k, p in params.items()},
             **kwargs,
         )
 
@@ -35,9 +37,9 @@ def adamw_step(
     theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta).
 
     Weight decay acts on the parameters directly, never through the moments.
-    The state's moments are updated in place; ``params`` is left as given and
-    the updated parameters are new arrays. Raises on non-finite gradients so
-    training aborts before corrupting state.
+    The state's moments are updated in place, and its scratch arrays reused;
+    ``params`` is left as given and the updated parameters are new arrays.
+    Raises on non-finite gradients so training aborts before corrupting state.
     """
     if set(params) != set(grads):
         raise ValueError(f"param/grad keys differ: {sorted(params)} vs {sorted(grads)}")
@@ -51,7 +53,7 @@ def adamw_step(
     updated: dict[str, np.ndarray] = {}
     for key, theta in params.items():
         grad, m, v = grads[key], state.m[key], state.v[key]
-        scratch = np.empty_like(theta)
+        scratch = state.scratch[key]
         # The moments update in place, each term rounded as in
         # beta * m + (1 - beta) * grad (* grad).
         m *= state.beta1

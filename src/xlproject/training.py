@@ -26,7 +26,10 @@ from .optim import AdamWState, adamw_step
 ALLOWED_LEARNING_RATES = (2e-6, 2e-5, 5e-5, 2e-4)
 TASKS = ("emotion", "trigger")
 SCHEDULES = ("constant", "linear")
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# Bounds on the config: A is (rank x K), and featurizing needs dim-sized tables.
+MAX_LORA_RANK = 1024
+MAX_FEATURE_DIM = 2**24
 
 
 class TrainConfigError(ValueError):
@@ -66,10 +69,12 @@ class TrainConfig:
             )
         if self.schedule not in SCHEDULES:
             raise TrainConfigError(f"schedule must be one of {SCHEDULES}")
-        if self.lora is not None and self.lora.rank < 1:
-            raise TrainConfigError("lora rank must be >= 1")
-        if self.feature_dim < 2:
-            raise TrainConfigError("feature_dim must be >= 2")
+        if self.lora is not None and not 1 <= self.lora.rank <= MAX_LORA_RANK:
+            raise TrainConfigError(
+                f"lora rank must be from 1 to {MAX_LORA_RANK}, got {self.lora.rank}"
+            )
+        if not 2 <= self.feature_dim <= MAX_FEATURE_DIM:
+            raise TrainConfigError(f"feature_dim must be from 2 to 2**24, got {self.feature_dim}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
             raise TrainConfigError(
                 f"weight_decay must be finite and >= 0, got {self.weight_decay}"
@@ -78,11 +83,16 @@ class TrainConfig:
 
 @dataclass
 class TrainedModel:
+    """A trained head over the feature columns ``cols`` (sorted) only:
+    ``model.W0`` and ``adapter.A`` have one column per entry of ``cols``. Any
+    other feature column has zero weight."""
+
     featurizer: HashedNgramFeaturizer
     model: LinearModel
     adapter: LoraAdapter | None
     task: str
     config: TrainConfig
+    cols: np.ndarray
     history: list[dict] = field(default_factory=list)
 
     def predict_emotion(self, sentence: AnnotatedSentence) -> EmotionLabel:
@@ -97,7 +107,8 @@ class TrainedModel:
     def predict(self, corpus: Corpus) -> list[dict]:
         """Prediction records of every sentence, from one featurization of the
         corpus and one set of logits."""
-        logits = forward(self.model, self.adapter, _featurize(self.featurizer, self.task, corpus))
+        block = _featurize(self.featurizer, self.task, corpus).select(self.cols)
+        logits = forward(self.model, self.adapter, block)
         if self.task == "emotion":
             return [
                 {"id": s.id, "emotion": EMOTION_ORDER[label].value}
@@ -171,11 +182,10 @@ def train(
     adapter configured the zero base weights stay frozen and only A, B, and
     the bias train.
 
-    Only the feature columns some training instance touches are trained. Any
-    other column has a zero gradient at every step, so its AdamW moments stay
-    zero and its step is pure weight decay: zero base weights stay zero, and
-    the untouched adapter columns are decayed with the dense step's exact
-    arithmetic. The result equals dense AdamW bit for bit.
+    The model covers only the feature columns some training instance
+    touches. It equals a dense model whose other columns are zero: they have
+    a zero gradient at every step, so AdamW, weight decay included, keeps
+    them at zero.
     """
     if task not in TASKS:
         raise TrainConfigError(f"task must be one of {TASKS}")
@@ -190,63 +200,40 @@ def train(
     num_classes = len(EMOTION_ORDER) if task == "emotion" else 2
     rng = np.random.default_rng(config.seed)
 
-    model = LinearModel.zeros(num_classes, config.feature_dim)
-    adapter = None
-    if config.lora is not None:
-        adapter = LoraAdapter.init(
-            num_classes, config.feature_dim, rank=config.lora.rank,
-            alpha=config.lora.alpha, rng=rng,
-        )
-    trained = TrainedModel(
-        featurizer=featurizer, model=model, adapter=adapter, task=task, config=config
-    )
-
-    # Both corpora are featurized once, up front.
+    # Both corpora are featurized once, up front, onto the touched columns.
     cols, block = _featurize(featurizer, task, corpus).compact()
     labels = np.array(_labels(task, corpus))
-    validation_block = None if validation is None else _featurize(featurizer, task, validation)
-    # The head trained over the touched columns only; B and b stay whole.
-    head, head_adapter = restrict(model, adapter, cols)
-    rest = None  # untouched adapter columns, kept only while weight decay moves them
-    if adapter is not None and config.weight_decay > 0.0:
-        untouched = np.ones(config.feature_dim, dtype=bool)
-        untouched[cols] = False
-        rest = adapter.A[:, untouched]
+    if validation is not None:
+        validation_block = _featurize(featurizer, task, validation).select(cols)
+    model = LinearModel.zeros(num_classes, len(cols))
+    adapter = None if config.lora is None else LoraAdapter.init(
+        num_classes, len(cols), rank=config.lora.rank, alpha=config.lora.alpha, rng=rng
+    )
+    trained = TrainedModel(featurizer=featurizer, model=model, adapter=adapter, task=task,
+                           config=config, cols=cols)
 
     def current_params():
-        if head_adapter is not None:
-            return {"A": head_adapter.A, "B": head_adapter.B, "b": head.b}
-        return {"W0": head.W0, "b": head.b}
+        if adapter is not None:
+            return {"A": adapter.A, "B": adapter.B, "b": model.b}
+        return {"W0": model.W0, "b": model.b}
 
     def apply_params(params):
-        head.b = params["b"]
-        if head_adapter is not None:
-            head_adapter.A = params["A"]
-            head_adapter.B = params["B"]
+        model.b = params["b"]
+        if adapter is not None:
+            adapter.A = params["A"]
+            adapter.B = params["B"]
         else:
-            head.W0 = params["W0"]
-
-    def scatter():
-        """Write the trained columns back into the full-width model."""
-        model.b = head.b
-        if adapter is None:
-            model.W0[:, cols] = head.W0
-            return
-        adapter.A[:, cols] = head_adapter.A
-        adapter.B = head_adapter.B
-        if rest is not None:
-            adapter.A[:, untouched] = rest
+            model.W0 = params["W0"]
 
     state = AdamWState.init(current_params())
-    # The gradient of W0 (or A) over the touched columns: each step writes its
-    # batch's columns and zeroes them again after the update.
+    # The gradient of W0 (or A): each step writes its batch's columns and
+    # zeroes them again after the update.
     wide = "A" if adapter is not None else "W0"
     wide_grad = np.zeros_like(current_params()[wide])
     steps_per_epoch = (len(labels) + config.batch_size - 1) // config.batch_size
     total_steps = steps_per_epoch * config.epochs
     best_score = -1.0
     best_params: dict[str, np.ndarray] | None = None
-    best_rest = None
     step = 0
     for epoch in range(config.epochs):
         order = rng.permutation(len(labels))
@@ -256,7 +243,7 @@ def train(
             batch = FeatureBlock.stack([block.row(i) for i in rows], block.dim)
             batch_cols, batch = batch.compact()
             loss, grads = loss_and_grads(
-                *restrict(head, head_adapter, batch_cols), batch, labels[rows]
+                *restrict(model, adapter, batch_cols), batch, labels[rows]
             )
             wide_grad[:, batch_cols] = grads[wide]
             grads[wide] = wide_grad
@@ -267,25 +254,18 @@ def train(
             params, state = adamw_step(state, current_params(), grads, lr, config.weight_decay)
             apply_params(params)
             wide_grad[:, batch_cols] = 0.0
-            if rest is not None:
-                # The dense step of a zero-gradient column, term for term.
-                rest -= lr * (0.0 + config.weight_decay * rest)
             step += 1
         record = {"epoch": epoch, "train_loss": epoch_loss / len(labels)}
         if validation is not None:
-            scatter()
             score = _validation_score(task, validation, forward(model, adapter, validation_block))
             record["validation_score"] = score
             if score > best_score:
                 best_score = score
                 best_params = {k: p.copy() for k, p in current_params().items()}
-                best_rest = None if rest is None else rest.copy()
         trained.history.append(record)
 
     if best_params is not None:
         apply_params(best_params)
-        rest = best_rest
-    scatter()
     return trained
 
 
@@ -293,31 +273,21 @@ def save_model(trained: TrainedModel, path: str | Path) -> None:
     """Checkpoint to .npz: weight arrays plus a JSON metadata blob (see README)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    adapter = trained.adapter
     meta = {
         "version": CHECKPOINT_VERSION,
         "task": trained.task,
         "classes": (
             [label.value for label in EMOTION_ORDER] if trained.task == "emotion" else [0, 1]
         ),
-        "feature": {
-            "dim": trained.featurizer.dim,
-            "ngram_min": trained.featurizer.ngram_min,
-            "ngram_max": trained.featurizer.ngram_max,
-            "window": trained.featurizer.window,
-            "salt": trained.featurizer.salt,
-        },
-        "lora": (
-            {"rank": trained.adapter.rank, "alpha": trained.adapter.alpha}
-            if trained.adapter is not None
-            else None
-        ),
+        "feature": asdict(trained.featurizer),
+        "lora": None if adapter is None else {"rank": adapter.rank, "alpha": adapter.alpha},
         "config": asdict(trained.config),
         "history": trained.history,
     }
-    arrays = {"W0": trained.model.W0, "b": trained.model.b}
-    if trained.adapter is not None:
-        arrays["A"] = trained.adapter.A
-        arrays["B"] = trained.adapter.B
+    arrays = {"cols": trained.cols, "W0": trained.model.W0, "b": trained.model.b}
+    if adapter is not None:
+        arrays.update(A=adapter.A, B=adapter.B)
     meta_bytes = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     with open(path, "wb") as handle:  # keeps the exact filename, no .npz appended
         np.savez(handle, meta=meta_bytes, **arrays)
@@ -338,7 +308,8 @@ def _open_checkpoint(path: str | Path) -> np.lib.npyio.NpzFile:
 def load_model(path: str | Path) -> TrainedModel:
     """Load a checkpoint; raises ``ValueError`` naming the file when it is
     missing, is not a checkpoint, or has arrays that disagree with its
-    metadata (prediction relies on these shapes)."""
+    metadata (prediction relies on these shapes). A version-1 checkpoint has
+    no ``cols`` and covers every feature column."""
     with _open_checkpoint(path) as data:
         if "meta" not in data.files:
             raise ValueError(f"{path}: not a checkpoint: no meta entry")
@@ -346,47 +317,37 @@ def load_model(path: str | Path) -> TrainedModel:
             meta = json.loads(bytes(data["meta"]).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValueError(f"{path}: checkpoint metadata is not JSON: {exc}") from None
-        if meta.get("version") != CHECKPOINT_VERSION:
+        if meta.get("version") not in (1, CHECKPOINT_VERSION):
             raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')!r}")
-        classes, dim = len(meta["classes"]), meta["feature"]["dim"]
-        expected = {"W0": (classes, dim), "b": (classes,)}
-        if meta["lora"] is not None:
-            rank = meta["lora"]["rank"]
-            expected.update(A=(rank, dim), B=(classes, rank))
-        arrays = {}
-        for name, shape in expected.items():
+        classes, dim, lora = len(meta["classes"]), meta["feature"]["dim"], meta["lora"]
+        if type(dim) is not int or not 2 <= dim <= MAX_FEATURE_DIM:
+            raise ValueError(f"{path}: the metadata's feature dim {dim!r} is not in 2..2**24")
+        arrays = {"cols": np.arange(dim)}  # what a version-1 checkpoint covers
+        names = ["W0", "b"] + (["A", "B"] if lora is not None else [])
+        for name in names + (["cols"] if meta["version"] > 1 else []):
             if name not in data.files:
                 raise ValueError(f"{path}: array {name} is missing")
             arrays[name] = data[name]
-            if arrays[name].shape != shape:
-                raise ValueError(
-                    f"{path}: array {name} has shape {arrays[name].shape}, "
-                    f"but the metadata implies {shape}"
-                )
-    model = LinearModel(W0=arrays["W0"], b=arrays["b"])
-    adapter = None
-    if meta["lora"] is not None:
-        adapter = LoraAdapter(
-            A=arrays["A"], B=arrays["B"], rank=meta["lora"]["rank"], alpha=meta["lora"]["alpha"]
-        )
-    feature = meta["feature"]
-    featurizer = HashedNgramFeaturizer(
-        dim=feature["dim"],
-        ngram_min=feature["ngram_min"],
-        ngram_max=feature["ngram_max"],
-        window=feature["window"],
-        salt=feature["salt"],
-    )
+    cols = arrays["cols"]
+    if not (cols.ndim == 1 and cols.dtype.kind in "iu" and np.all(cols[1:] > cols[:-1])
+            and np.all((cols >= 0) & (cols < dim))):
+        raise ValueError(f"{path}: array cols is not strictly increasing feature columns "
+                         f"below the metadata's feature dim {dim}")
+    expected = {"W0": (classes, len(cols)), "b": (classes,)}
+    if lora is not None:
+        expected.update(A=(lora["rank"], len(cols)), B=(classes, lora["rank"]))
+    for name, shape in expected.items():
+        if arrays[name].shape != shape:
+            raise ValueError(
+                f"{path}: array {name} has shape {arrays[name].shape}, "
+                f"but the metadata implies {shape}"
+            )
+    adapter = None if lora is None else LoraAdapter(A=arrays["A"], B=arrays["B"], **lora)
     cfg = dict(meta["config"])
     lora_cfg = cfg.pop("lora", None)
-    config = TrainConfig(
-        lora=LoraConfig(**lora_cfg) if lora_cfg is not None else None, **cfg
-    )
+    config = TrainConfig(lora=LoraConfig(**lora_cfg) if lora_cfg is not None else None, **cfg)
     return TrainedModel(
-        featurizer=featurizer,
-        model=model,
-        adapter=adapter,
-        task=meta["task"],
-        config=config,
-        history=list(meta.get("history", [])),
+        featurizer=HashedNgramFeaturizer(**meta["feature"]),
+        model=LinearModel(W0=arrays["W0"], b=arrays["b"]), adapter=adapter, task=meta["task"],
+        config=config, cols=cols, history=list(meta.get("history", [])),
     )

@@ -27,6 +27,7 @@ from xlproject.corpus import (
     save_corpus,
     write_provenance,
 )
+from xlproject.projection import spans_from_mask
 from xlproject.synthetic import mock_translation_table, synthetic_corpus
 from xlproject.training import LoraConfig, TrainConfig, load_model, save_model, train
 
@@ -219,6 +220,22 @@ class TestCommands:
         assert "weight_decay" in capsys.readouterr().err
         assert not (tmp_path / "m.npz").exists()
 
+    @pytest.mark.parametrize("flags, problem", [
+        (["--feature-dim", "4294967296"], "feature_dim"),
+        (["--feature-dim", "1"], "feature_dim"),
+        (["--lora-r", "100000", "--feature-dim", "1024"], "lora rank"),
+        (["--lora-r", "0", "--feature-dim", "1024"], "lora rank"),
+    ], ids=["dim-huge", "dim-one", "rank-huge", "rank-zero"])
+    def test_train_bounds_what_the_config_allocates(self, tmp_path, capsys, flags, problem):
+        save_corpus(synthetic_corpus(10, seed=2), tmp_path / "c.jsonl")
+        code = main([
+            "train", "--input", str(tmp_path / "c.jsonl"), "--task", "trigger", "--epochs", "1",
+            *flags, "--output", str(tmp_path / "m.npz"),
+        ])
+        assert code == EXIT_CONFIG
+        assert f"configuration error: {problem} must be from" in capsys.readouterr().err
+        assert not (tmp_path / "m.npz").exists()
+
     @pytest.mark.parametrize("task, field", [("emotion", "emotion"), ("trigger", "trigger_mask")])
     def test_train_rejects_unlabelled_validation(self, tmp_path, capsys, task, field):
         save_corpus(synthetic_corpus(10, seed=2), tmp_path / "c.jsonl")
@@ -395,13 +412,21 @@ class TestPredict:
         assert f"data error: {model}: cannot hash the checkpoint" in capsys.readouterr().err
         assert not predictions.exists()
 
-    @pytest.mark.parametrize("section, key", [("feature", "dim"), ("lora", "rank")])
-    def test_checkpoint_disagreeing_with_metadata_rejected(self, tmp_path, capsys, section, key):
+    @pytest.mark.parametrize("damage", ["feature-dim", "lora-rank", "unsorted-cols", "cols-length"])
+    def test_checkpoint_disagreeing_with_metadata_rejected(self, tmp_path, capsys, damage):
         model = self.trained_model(tmp_path, "trigger", LoraConfig(rank=3, alpha=8.0))
         with np.load(model) as data:
             arrays = {name: data[name] for name in data.files}
         meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-        meta[section][key] *= 2
+        cols = arrays["cols"]
+        if damage == "feature-dim":  # the last trained column is then out of range
+            meta["feature"]["dim"] = int(cols.max())
+        elif damage == "lora-rank":
+            meta["lora"]["rank"] *= 2
+        elif damage == "unsorted-cols":
+            arrays["cols"] = np.concatenate([cols[1:2], cols[:1], cols[2:]])
+        else:  # one column fewer than W0 and A have
+            arrays["cols"] = cols[:-1]
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
         with open(model, "wb") as handle:
             np.savez(handle, **arrays)
@@ -410,6 +435,59 @@ class TestPredict:
         err = capsys.readouterr().err
         assert str(model) in err and "metadata" in err
         assert not predictions.exists()
+
+
+def _without(record, key):
+    return {k: v for k, v in record.items() if k != key}
+
+
+def _past_the_end(record):
+    first, *rest = record["target_spans"]
+    return {**record, "target_spans": [[first[0], 99, first[2]], *rest]}
+
+
+class TestSwitchPairsFile:
+    def switch(self, tmp_path, lines):
+        for name in ("source.jsonl", "target.jsonl"):
+            save_corpus(synthetic_corpus(3, seed=1), tmp_path / name)
+        (tmp_path / "pairs.jsonl").write_text("".join(line + "\n" for line in lines))
+        return main([
+            "switch", "--source", str(tmp_path / "source.jsonl"),
+            "--target", str(tmp_path / "target.jsonl"), "--pairs", str(tmp_path / "pairs.jsonl"),
+            "--output-st", str(tmp_path / "st.jsonl"), "--output-ts", str(tmp_path / "ts.jsonl"),
+        ])
+
+    def record(self):
+        """A well-formed record pairing a sentence that has triggers with itself."""
+        sentence = next(s for s in synthetic_corpus(3, seed=1) if any(s.trigger_mask))
+        spans = [[s.start, s.end, s.marker_index] for s in spans_from_mask(sentence.trigger_mask)]
+        return {"source_id": sentence.id, "target_id": sentence.id,
+                "source_spans": spans, "target_spans": spans}
+
+    def test_well_formed_pairs_switch(self, tmp_path):
+        assert self.switch(tmp_path, [json.dumps(self.record()), ""]) == EXIT_OK
+        assert len(load_corpus(tmp_path / "st.jsonl")) == 1
+
+    @pytest.mark.parametrize("damage, problem", [
+        (lambda r: json.dumps(r)[:-5], "invalid JSON"),
+        (lambda r: "[]", "record is not an object"),
+        (lambda r: json.dumps(_without(r, "target_spans")), "missing field 'target_spans'"),
+        (lambda r: json.dumps({**r, "source_spans": [[1, 2]]}),
+         "field 'source_spans' must be a list of [start, end, marker]"),
+        (lambda r: json.dumps({**r, "target_id": 7}), "the ids must be strings"),
+        (lambda r: json.dumps({**r, "target_id": "nowhere"}),
+         "id 'nowhere' missing from the target corpus"),
+        (lambda r: json.dumps(_past_the_end(r)), "outside sentence"),
+    ], ids=["json", "not-object", "no-target-spans", "span-arity", "id-type", "unknown-id",
+            "span-bounds"])
+    def test_malformed_record_names_file_and_line(self, tmp_path, capsys, damage, problem):
+        record = self.record()
+        code = self.switch(tmp_path, [json.dumps(record), damage(record)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {tmp_path / 'pairs.jsonl'} line 2: " in err and problem in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "st.jsonl").exists()
 
 
 class TestEvaluatePredictionsFile:

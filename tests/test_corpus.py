@@ -1,10 +1,12 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xlproject.corpus import (
+    _WHITESPACE,
     AnnotatedSentence,
     Corpus,
     CorpusFormatError,
@@ -132,6 +134,17 @@ class TestLoadCorpus:
         path.write_text('{"id": "a", "lang": "es", "tokens": ["x"], "origin": "D_S"}\n')
         with pytest.raises(CorpusFormatError, match="D_S"):
             load_corpus(path)
+
+
+def test_whitespace_pattern_matches_exactly_where_isspace_is_true():
+    every_char = "".join(map(chr, range(sys.maxunicode + 1)))
+    matched = [i for i, ch in enumerate(every_char) if _WHITESPACE(ch)]
+    assert matched == [i for i, ch in enumerate(every_char) if ch.isspace()]
+
+
+def test_token_with_unicode_whitespace_rejected():
+    with pytest.raises(CorpusFormatError, match="whitespace"):
+        make_sentence(tokens=("I", "lo\u2009ve", "you")).validate()
 
 
 class TestSaveCorpus:

@@ -5,7 +5,7 @@ looks them up. A rename there would only show as a crash of a traced
 benchmark run; this test makes it fail here instead.
 """
 import importlib.util
-import threading
+import json
 from pathlib import Path
 
 from xlproject import cli
@@ -37,12 +37,12 @@ def ancestors(spans, span):
 def test_install_wraps_every_hook_and_uninstall_restores_it(tmp_path, monkeypatch):
     tracing = load_tracing()
     tracer = tracing.Tracer(run_id="hooks")
-    # Under the tracer's wrapper: which span and thread hashed which file.
+    # Under the tracer's wrapper: which span hashed which file.
     hashed = []
     sha256 = cli.file_sha256
 
     def recording_sha256(path):
-        hashed.append((Path(path).name, tracer._stack()[-1], threading.current_thread()))
+        hashed.append((Path(path).name, tracer._stack()[-1]))
         return sha256(path)
 
     monkeypatch.setattr(cli, "file_sha256", recording_sha256)
@@ -82,9 +82,10 @@ def test_install_wraps_every_hook_and_uninstall_restores_it(tmp_path, monkeypatc
             steps = [span for span in tracer.spans if span[2] == name]
             assert steps and all("training.train" in ancestors(tracer.spans, s) for s in steps)
         assert len(hashed) == sum(span[2] == "cli.file_sha256" for span in tracer.spans)
-        [(span_id, thread)] = [(i, t) for name, i, t in hashed if name == "m.npz"]
+        [span_id] = [i for name, i in hashed if name == "m.npz"]
         assert tracer.spans[span_id][2] == "cli.file_sha256"
-        assert thread is not threading.main_thread()
+        sidecar = json.loads((tmp_path / "pred.jsonl.provenance.json").read_text())
+        assert sidecar["inputs"][str(tmp_path / "m.npz")] == sha256(tmp_path / "m.npz")
     finally:
         tracer.uninstall()
     for owner, attr, original in patched:

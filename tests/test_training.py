@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from xlproject.corpus import AnnotatedSentence, Corpus, DatasetTag
 from xlproject.features import HashedNgramFeaturizer
 from xlproject.metrics import corpus_token_f1, macro_f1
-from xlproject.model import LinearModel, LoraAdapter, loss_and_grads
+from xlproject.model import LinearModel, LoraAdapter, forward, loss_and_grads
 from xlproject.optim import AdamWState, adamw_step
 from xlproject.synthetic import synthetic_corpus
 from xlproject.training import (
@@ -170,21 +171,25 @@ def oracle_validation_score(trained, validation):
 def dense_reference_train(corpus, task, config, validation, oracle=False):
     """The dense training loop: every AdamW step updates all feature columns,
     and every epoch re-featurizes the validation corpus sentence by sentence.
-    With ``oracle``, gradients and validation logits come from the
-    per-instance code the block path replaced."""
+    The adapter's A is drawn for the columns the training set touches and
+    zero in every other column. With ``oracle``, gradients and validation
+    logits come from the per-instance code the block path replaced."""
     step_grads = per_instance_oracle.loss_and_grads if oracle else loss_and_grads
     score_validation = oracle_validation_score if oracle else reference_validation_score
     featurizer = HashedNgramFeaturizer(dim=config.feature_dim, salt=config.feature_salt)
     num_classes = len(EMOTION_ORDER) if task == "emotion" else 2
     rng = np.random.default_rng(config.seed)
+    instances = reference_instances(featurizer, task, corpus)
+    touched = np.unique(np.concatenate([x.indices for x, _ in instances]))
     model = LinearModel.zeros(num_classes, config.feature_dim)
     adapter = None
     if config.lora is not None:
-        adapter = LoraAdapter.init(
-            num_classes, config.feature_dim, rank=config.lora.rank,
-            alpha=config.lora.alpha, rng=rng,
+        drawn = LoraAdapter.init(
+            num_classes, len(touched), rank=config.lora.rank, alpha=config.lora.alpha, rng=rng,
         )
-    instances = reference_instances(featurizer, task, corpus)
+        adapter = dataclasses.replace(
+            drawn, A=widen(drawn.A, touched, config.feature_dim)
+        )
 
     def current_params():
         if adapter is not None:
@@ -201,7 +206,8 @@ def dense_reference_train(corpus, task, config, validation, oracle=False):
 
     state = AdamWState.init(current_params())
     trained = TrainedModel(
-        featurizer=featurizer, model=model, adapter=adapter, task=task, config=config
+        featurizer=featurizer, model=model, adapter=adapter, task=task, config=config,
+        cols=np.arange(config.feature_dim),
     )
     total_steps = (len(instances) + config.batch_size - 1) // config.batch_size * config.epochs
     best_score, best_params, step = -1.0, None, 0
@@ -226,7 +232,23 @@ def dense_reference_train(corpus, task, config, validation, oracle=False):
             best_params = {k: p.copy() for k, p in current_params().items()}
         trained.history.append(record)
     apply_params(best_params)
-    return trained
+    return trained, touched
+
+
+def widen(array, cols, dim):
+    """An array over the columns ``cols`` placed into an otherwise zero one
+    over all ``dim`` columns."""
+    full = np.zeros((len(array), dim))
+    full[:, cols] = array
+    return full
+
+
+def full_width_arrays(trained, dim):
+    """``W0``, ``b`` and, with an adapter, ``A`` and ``B`` over every feature column."""
+    arrays = [widen(trained.model.W0, trained.cols, dim), trained.model.b]
+    if trained.adapter is not None:
+        arrays += [widen(trained.adapter.A, trained.cols, dim), trained.adapter.B]
+    return arrays
 
 
 class TestTouchedColumnTraining:
@@ -241,13 +263,13 @@ class TestTouchedColumnTraining:
             epochs=3, batch_size=8, lora=lora, weight_decay=weight_decay, schedule=schedule,
             feature_dim=2**11,
         )
-        expected = dense_reference_train(corpus, task, config, validation)
+        expected, touched = dense_reference_train(corpus, task, config, validation)
         got = train(corpus, task, config, validation=validation)
-        assert np.array_equal(got.model.W0, expected.model.W0)
-        assert np.array_equal(got.model.b, expected.model.b)
-        if lora is not None:
-            assert np.array_equal(got.adapter.A, expected.adapter.A)
-            assert np.array_equal(got.adapter.B, expected.adapter.B)
+        assert np.array_equal(got.cols, touched)
+        dim = config.feature_dim
+        for value, want in zip(full_width_arrays(got, dim), full_width_arrays(expected, dim),
+                               strict=True):
+            assert np.array_equal(value, want)
         assert got.history == expected.history
 
     @pytest.mark.parametrize("task", ["emotion", "trigger"])
@@ -259,31 +281,34 @@ class TestTouchedColumnTraining:
         config = small_config(
             epochs=3, batch_size=8, lora=lora, weight_decay=weight_decay, feature_dim=2**11,
         )
-        expected = dense_reference_train(corpus, task, config, validation, oracle=True)
+        expected, touched = dense_reference_train(corpus, task, config, validation, oracle=True)
         got = train(corpus, task, config, validation=validation)
-        arrays = [(got.model.W0, expected.model.W0), (got.model.b, expected.model.b)]
-        if lora is not None:
-            arrays += [(got.adapter.A, expected.adapter.A), (got.adapter.B, expected.adapter.B)]
-        for value, want in arrays:
+        assert np.array_equal(got.cols, touched)
+        dim = config.feature_dim
+        for value, want in zip(full_width_arrays(got, dim), full_width_arrays(expected, dim),
+                               strict=True):
             assert per_instance_oracle.relative_difference(value, want) <= 1e-12
         for record, want in zip(got.history, expected.history, strict=True):
             assert record["validation_score"] == want["validation_score"]
             assert abs(record["train_loss"] - want["train_loss"]) <= 1e-12 * want["train_loss"]
 
-    def test_untouched_adapter_columns_keep_initial_values(self):
-        corpus = synthetic_corpus(10, seed=23)
-        config = small_config(lora=LoraConfig(rank=3, alpha=8.0))
-        trained = train(corpus, "trigger", config)
-        featurizer = HashedNgramFeaturizer(dim=config.feature_dim)
-        touched = np.zeros(config.feature_dim, dtype=bool)
-        for x, _ in reference_instances(featurizer, "trigger", corpus):
-            touched[x.indices] = True
-        initial = LoraAdapter.init(
-            2, config.feature_dim, rank=3, alpha=8.0, rng=np.random.default_rng(config.seed)
+    @pytest.mark.parametrize("lora", [None, LoraConfig(rank=3, alpha=8.0)], ids=["plain", "lora"])
+    def test_input_touching_no_trained_column_gives_bias_logits(self, lora):
+        trained = train(synthetic_corpus(10, seed=23), "trigger", small_config(lora=lora))
+        featurizer = trained.featurizer
+        # The first made-up word none of whose features the training set touched.
+        word = next(
+            w for w in (f"qz{i}" for i in range(1000))
+            if not np.isin(featurizer.featurize([[w]]).indices, trained.cols).any()
         )
-        assert 0 < touched.sum() < config.feature_dim
-        assert np.array_equal(trained.adapter.A[:, ~touched], initial.A[:, ~touched])
-        assert not np.array_equal(trained.adapter.A[:, touched], initial.A[:, touched])
+        sentence = AnnotatedSentence(
+            id="q", tokens=[word], language="en", origin=DatasetTag.D_S, trigger_mask=[0]
+        )
+        block = featurizer.featurize([[word]]).select(trained.cols)
+        assert len(block.indices) == 0
+        logits = forward(trained.model, trained.adapter, block)
+        assert np.array_equal(logits, trained.model.b[None, :])
+        assert trained.predict_mask(sentence) == [int(np.argmax(trained.model.b))]
 
 
 class TestCheckpoints:
@@ -326,6 +351,34 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="array B is missing") as info:
             load_model(path)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("lora", [None, LoraConfig(rank=3, alpha=8.0)], ids=["plain", "lora"])
+    def test_version_1_checkpoint_loads_over_every_column(self, tmp_path, lora):
+        trained = train(synthetic_corpus(30, seed=13), "trigger", small_config(lora=lora))
+        heldout = synthetic_corpus(10, seed=14, id_prefix="h")
+        dim = trained.featurizer.dim
+        path = tmp_path / "model.npz"
+        save_model(trained, path)
+        # Version 1 stored full-width W0 and A and no cols.
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files if name != "cols"}
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        meta["version"] = 1
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        arrays["W0"] = widen(arrays["W0"], trained.cols, dim)
+        if lora is not None:
+            arrays["A"] = widen(arrays["A"], trained.cols, dim)
+        with open(path, "wb") as handle:
+            np.savez(handle, **arrays)
+        loaded = load_model(path)
+        assert np.array_equal(loaded.cols, np.arange(dim))
+        for value, want in zip(full_width_arrays(loaded, dim), full_width_arrays(trained, dim),
+                               strict=True):
+            assert np.array_equal(value, want)
+        got, expected = loaded.predict(heldout), trained.predict(heldout)
+        for record, want in zip(got, expected, strict=True):
+            assert record["mask"] == want["mask"]
+            assert np.allclose(record["numeric"], want["numeric"], rtol=1e-12, atol=0.0)
 
     def test_predictions_survive_round_trip(self, tmp_path):
         corpus = synthetic_corpus(30, seed=11)
