@@ -307,9 +307,9 @@ def _open_checkpoint(path: str | Path) -> np.lib.npyio.NpzFile:
 
 def load_model(path: str | Path) -> TrainedModel:
     """Load a checkpoint; raises ``ValueError`` naming the file when it is
-    missing, is not a checkpoint, or has arrays that disagree with its
-    metadata (prediction relies on these shapes). A version-1 checkpoint has
-    no ``cols`` and covers every feature column."""
+    missing, is not a checkpoint, or has metadata that is malformed or
+    disagrees with its arrays (prediction relies on their shapes). A
+    version-1 checkpoint has no ``cols`` and covers every feature column."""
     with _open_checkpoint(path) as data:
         if "meta" not in data.files:
             raise ValueError(f"{path}: not a checkpoint: no meta entry")
@@ -317,37 +317,37 @@ def load_model(path: str | Path) -> TrainedModel:
             meta = json.loads(bytes(data["meta"]).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValueError(f"{path}: checkpoint metadata is not JSON: {exc}") from None
+        arrays = {name: data[name] for name in data.files if name != "meta"}
+    try:
         if meta.get("version") not in (1, CHECKPOINT_VERSION):
             raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')!r}")
         classes, dim, lora = len(meta["classes"]), meta["feature"]["dim"], meta["lora"]
         if type(dim) is not int or not 2 <= dim <= MAX_FEATURE_DIM:
             raise ValueError(f"{path}: the metadata's feature dim {dim!r} is not in 2..2**24")
-        arrays = {"cols": np.arange(dim)}  # what a version-1 checkpoint covers
         names = ["W0", "b"] + (["A", "B"] if lora is not None else [])
         for name in names + (["cols"] if meta["version"] > 1 else []):
-            if name not in data.files:
+            if name not in arrays:
                 raise ValueError(f"{path}: array {name} is missing")
-            arrays[name] = data[name]
-    cols = arrays["cols"]
-    if not (cols.ndim == 1 and cols.dtype.kind in "iu" and np.all(cols[1:] > cols[:-1])
-            and np.all((cols >= 0) & (cols < dim))):
-        raise ValueError(f"{path}: array cols is not strictly increasing feature columns "
-                         f"below the metadata's feature dim {dim}")
-    expected = {"W0": (classes, len(cols)), "b": (classes,)}
-    if lora is not None:
-        expected.update(A=(lora["rank"], len(cols)), B=(classes, lora["rank"]))
-    for name, shape in expected.items():
-        if arrays[name].shape != shape:
-            raise ValueError(
-                f"{path}: array {name} has shape {arrays[name].shape}, "
-                f"but the metadata implies {shape}"
-            )
-    adapter = None if lora is None else LoraAdapter(A=arrays["A"], B=arrays["B"], **lora)
-    cfg = dict(meta["config"])
-    lora_cfg = cfg.pop("lora", None)
-    config = TrainConfig(lora=LoraConfig(**lora_cfg) if lora_cfg is not None else None, **cfg)
-    return TrainedModel(
-        featurizer=HashedNgramFeaturizer(**meta["feature"]),
-        model=LinearModel(W0=arrays["W0"], b=arrays["b"]), adapter=adapter, task=meta["task"],
-        config=config, cols=cols, history=list(meta.get("history", [])),
-    )
+        cols = arrays["cols"] if meta["version"] > 1 else np.arange(dim)
+        if not (cols.ndim == 1 and cols.dtype.kind in "iu" and np.all(cols[1:] > cols[:-1])
+                and np.all((cols >= 0) & (cols < dim))):
+            raise ValueError(f"{path}: array cols is not strictly increasing feature columns "
+                             f"below the metadata's feature dim {dim}")
+        expected = {"W0": (classes, len(cols)), "b": (classes,)}
+        if lora is not None:
+            expected.update(A=(lora["rank"], len(cols)), B=(classes, lora["rank"]))
+        for name, shape in expected.items():
+            if arrays[name].shape != shape:
+                raise ValueError(f"{path}: array {name} has shape {arrays[name].shape}, "
+                                 f"but the metadata implies {shape}")
+        cfg = dict(meta["config"])
+        lora_cfg = cfg.pop("lora", None)
+        return TrainedModel(
+            featurizer=HashedNgramFeaturizer(**meta["feature"]),
+            model=LinearModel(W0=arrays["W0"], b=arrays["b"]),
+            adapter=None if lora is None else LoraAdapter(A=arrays["A"], B=arrays["B"], **lora),
+            task=meta["task"], cols=cols, history=list(meta.get("history", [])),
+            config=TrainConfig(lora=None if lora_cfg is None else LoraConfig(**lora_cfg), **cfg),
+        )
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed checkpoint metadata: {exc!r}") from None

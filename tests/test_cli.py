@@ -412,7 +412,8 @@ class TestPredict:
         assert f"data error: {model}: cannot hash the checkpoint" in capsys.readouterr().err
         assert not predictions.exists()
 
-    @pytest.mark.parametrize("damage", ["feature-dim", "lora-rank", "unsorted-cols", "cols-length"])
+    @pytest.mark.parametrize("damage", ["feature-dim", "lora-rank", "unsorted-cols", "cols-length",
+                                        "no-lora-key", "extra-feature-key"])
     def test_checkpoint_disagreeing_with_metadata_rejected(self, tmp_path, capsys, damage):
         model = self.trained_model(tmp_path, "trigger", LoraConfig(rank=3, alpha=8.0))
         with np.load(model) as data:
@@ -425,6 +426,10 @@ class TestPredict:
             meta["lora"]["rank"] *= 2
         elif damage == "unsorted-cols":
             arrays["cols"] = np.concatenate([cols[1:2], cols[:1], cols[2:]])
+        elif damage == "no-lora-key":
+            del meta["lora"]
+        elif damage == "extra-feature-key":
+            meta["feature"]["lowercase"] = True
         else:  # one column fewer than W0 and A have
             arrays["cols"] = cols[:-1]
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
@@ -433,7 +438,7 @@ class TestPredict:
         code, predictions = self.predict(tmp_path, model, synthetic_corpus(3, seed=6))
         assert code == EXIT_DATA
         err = capsys.readouterr().err
-        assert str(model) in err and "metadata" in err
+        assert str(model) in err and "metadata" in err and "Traceback" not in err
         assert not predictions.exists()
 
 
