@@ -5,6 +5,7 @@ Example:
 """
 import argparse
 
+from xlproject.cli import write_provenance
 from xlproject.corpus import save_corpus
 from xlproject.synthetic import synthetic_corpus
 
@@ -19,6 +20,7 @@ def main() -> None:
     args = parser.parse_args()
     corpus = synthetic_corpus(args.n, seed=args.seed, id_prefix=args.id_prefix)
     save_corpus(corpus, args.output, format=args.format)
+    write_provenance(args.output, {"generator": "synthetic", "seed": args.seed})
     print(f"wrote {len(corpus)} sentences to {args.output}")
 
 

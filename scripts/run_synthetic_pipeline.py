@@ -15,6 +15,7 @@ from pathlib import Path
 import yaml
 
 from xlproject.cli import main as cli
+from xlproject.cli import write_provenance
 from xlproject.corpus import save_corpus
 from xlproject.synthetic import mock_translation_table, synthetic_corpus
 
@@ -37,6 +38,7 @@ def main() -> None:
     root = Path(args.workdir)
     root.mkdir(parents=True, exist_ok=True)
     save_corpus(synthetic_corpus(args.n, seed=3), root / "d_s_all.jsonl")
+    write_provenance(root / "d_s_all.jsonl", {"generator": "synthetic", "seed": 3})
     config = root / "config.yaml"
     config.write_text(yaml.safe_dump({"mt": {"mock_dictionary": mock_translation_table()}}))
 

@@ -1,10 +1,20 @@
-"""Trigger-word switching and training-set combination assembly."""
+"""Trigger-word switching, the ``.pairs.jsonl`` span-alignment file, and
+training-set combination assembly."""
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Mapping
 
-from .corpus import AnnotatedSentence, Corpus, DatasetTag
+from .corpus import (
+    AnnotatedSentence,
+    Corpus,
+    CorpusFormatError,
+    DatasetTag,
+    read_jsonl,
+    write_jsonl,
+)
 from .projection import Projected, TriggerSpan, spans_from_mask
 
 TAG_ORDER = (DatasetTag.D_S, DatasetTag.D_T, DatasetTag.D_ST, DatasetTag.D_TS)
@@ -43,6 +53,68 @@ def make_aligned_pair(source: AnnotatedSentence, projected: Projected) -> Aligne
     )
     pair.validate()
     return pair
+
+
+_PAIR_FIELDS = ("source_id", "target_id", "source_spans", "target_spans")
+
+
+def save_pairs(pairs: Iterable[AlignedPair], path: str | Path) -> None:
+    """Write a ``.pairs.jsonl`` span-alignment file, one record per pair."""
+
+    def record(pair: AlignedPair) -> dict:
+        source, target = ([[s.start, s.end, s.marker_index] for s in spans]
+                          for spans in (pair.source_spans, pair.target_spans))
+        return {"source_id": pair.source.id, "target_id": pair.target.id,
+                "source_spans": source, "target_spans": target}
+
+    write_jsonl(map(record, pairs), path)
+
+
+def load_pairs(path: str | Path, source: Corpus, target: Corpus) -> list[AlignedPair]:
+    """The pairs of a ``.pairs.jsonl`` file over the sentences of two corpora.
+
+    A malformed record, an id missing from its corpus, or a pair that fails
+    :meth:`AlignedPair.validate` is a :class:`CorpusFormatError` naming the
+    file and line.
+    """
+    source_by_id = {s.id: s for s in source.sentences}
+    target_by_id = {s.id: s for s in target.sentences}
+    pairs = []
+    for lineno, record in read_jsonl(path):
+        where = f"{path} line {lineno}"
+        if not isinstance(record, dict):
+            raise CorpusFormatError(f"{where}: record is not an object")
+        odd = sorted(set(_PAIR_FIELDS) ^ set(record))
+        if odd:
+            problem = "missing" if odd[0] in _PAIR_FIELDS else "unknown"
+            raise CorpusFormatError(f"{where}: {problem} field {odd[0]!r}")
+        sid, tid = record["source_id"], record["target_id"]
+        if not (isinstance(sid, str) and isinstance(tid, str)):
+            raise CorpusFormatError(f"{where}: the ids must be strings")
+        for name in _PAIR_FIELDS[2:]:
+            spans = record[name]
+            if not isinstance(spans, list) or not all(
+                type(s) is list and len(s) == 3 and all(type(v) is int for v in s) for s in spans
+            ):
+                raise CorpusFormatError(
+                    f"{where}: field {name!r} must be a list of [start, end, marker] integers"
+                )
+        if sid not in source_by_id:
+            raise CorpusFormatError(f"{where}: id {sid!r} missing from the source corpus")
+        if tid not in target_by_id:
+            raise CorpusFormatError(f"{where}: id {tid!r} missing from the target corpus")
+        pair = AlignedPair(
+            source=source_by_id[sid],
+            target=target_by_id[tid],
+            source_spans=[TriggerSpan(*s) for s in record["source_spans"]],
+            target_spans=[TriggerSpan(*s) for s in record["target_spans"]],
+        )
+        try:
+            pair.validate()
+        except ValueError as exc:
+            raise CorpusFormatError(f"{where}: {exc}") from None
+        pairs.append(pair)
+    return pairs
 
 
 def _substitute(
@@ -105,10 +177,7 @@ def switch_corpus(pairs: list[AlignedPair]) -> tuple[Corpus, Corpus]:
         x_st, x_ts = switch_triggers(pair)
         st_sentences.append(replace(x_st, id=pair.target.id))
         ts_sentences.append(x_ts)
-    return (
-        Corpus(sentences=st_sentences, provenance={"augmentation": "trigger_switch"}),
-        Corpus(sentences=ts_sentences, provenance={"augmentation": "trigger_switch"}),
-    )
+    return Corpus(sentences=st_sentences), Corpus(sentences=ts_sentences)
 
 
 @dataclass(frozen=True)
@@ -143,4 +212,4 @@ def build_dataset(spec: CombinationSpec, corpora: Mapping[DatasetTag, Corpus]) -
             continue
         for sent in corpora[tag].sentences:
             sentences.append(replace(sent, id=f"{sent.id}#{tag.value}"))
-    return Corpus(sentences=sentences, provenance={"combination": str(spec)})
+    return Corpus(sentences=sentences)

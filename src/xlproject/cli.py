@@ -1,9 +1,10 @@
 """Command-line pipeline: split, project, switch, combine, train, predict, evaluate, parse-llm.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 translation
-backend error, 5 internal error. Every output file gets a
-``<name>.provenance.json`` sidecar recording the command, a hash of its
-effective configuration, the seed, and input file hashes.
+backend error, 5 internal error. Every command that writes an output file
+then writes its ``<output>.provenance.json`` sidecar with
+:func:`write_provenance`: the command, a hash of its effective
+configuration, the seed, input file hashes, and the command's own keys.
 """
 from __future__ import annotations
 
@@ -17,23 +18,31 @@ from pathlib import Path
 
 import yaml
 
-from .augment import AlignedPair, CombinationSpec, build_dataset, switch_corpus
+from .augment import (
+    CombinationSpec,
+    build_dataset,
+    load_pairs,
+    make_aligned_pair,
+    save_pairs,
+    switch_corpus,
+)
 from .corpus import (
     LANGUAGES,
     Corpus,
     CorpusFormatError,
     DatasetTag,
     EmotionLabel,
+    check_new_id,
     label_distribution,
     load_corpus,
-    load_pairs,
     read_jsonl,
     save_corpus,
+    sidecar,
     split_train_validation,
-    write_provenance,
+    write_jsonl,
 )
 from .metrics import build_report, normalize_attributions
-from .projection import MarkerScheme, TriggerSpan, project_corpus, spans_from_mask
+from .projection import MarkerScheme, project_corpus
 from .training import (
     LoraConfig,
     MissingLabelsError,
@@ -153,11 +162,26 @@ def build_provenance(
     }
 
 
-def write_jsonl(records: list[dict], path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+def write_provenance(output: str | Path, record: dict) -> None:
+    """Write the ``<output>.provenance.json`` sidecar of an output file."""
+    sidecar(output, "provenance.json").write_text(
+        json.dumps(record, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
+        encoding="utf-8",
+    )
+
+
+def read_provenance(path: str | Path) -> dict:
+    """The ``<path>.provenance.json`` record of an input, or ``{}`` if it has none."""
+    record_path = sidecar(path, "provenance.json")
+    if not record_path.exists():
+        return {}
+    try:
+        record = json.loads(record_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DataError(f"{record_path}: invalid JSON: {exc}") from None
+    if not isinstance(record, dict):
+        raise DataError(f"{record_path}: expected a JSON object")
+    return record
 
 
 def make_backend(name: str, config: dict):
@@ -188,20 +212,13 @@ def parse_scheme(text: str | None) -> MarkerScheme:
         raise ConfigError(f"invalid marker scheme {text!r}: {exc}") from None
 
 
-def _load(path: str, format: str, seen: dict | None = None) -> Corpus:
-    file_path = Path(path)
-    if not file_path.exists():
-        raise DataError(f"input file not found: {path}")
-    return load_corpus(file_path, format=format, seen=seen)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_split(args, config) -> None:
     if not 0.0 < args.fraction < 1.0:
         raise ConfigError(f"--fraction must be in (0, 1), got {args.fraction}")
-    corpus = _load(args.input, args.format)
+    corpus = load_corpus(args.input, format=args.format)
     train_corpus, val_corpus = split_train_validation(corpus, args.fraction, args.seed)
     for half, name in ((train_corpus, "training"), (val_corpus, "validation")):
         if not half.sentences:
@@ -209,15 +226,24 @@ def cmd_split(args, config) -> None:
                 f"{args.input}: splitting {len(corpus)} sentences at fraction {args.fraction} "
                 f"leaves the {name} half empty"
             )
+    extra = {
+        **read_provenance(args.input),
+        "split_seed": args.seed,
+        "split_fraction": args.fraction,
+        "split_stratified": False,
+    }
     provenance = build_provenance(
         "split",
         {"fraction": args.fraction, "seed": args.seed, "format": args.format},
         [Path(args.input)],
         seed=args.seed,
     )
-    for corpus_out, path in ((train_corpus, args.output_train), (val_corpus, args.output_validation)):
-        corpus_out.provenance.update(provenance)
+    for corpus_out, path, role in (
+        (train_corpus, args.output_train, "train"),
+        (val_corpus, args.output_validation, "validation"),
+    ):
         save_corpus(corpus_out, path, format=args.format)
+        write_provenance(path, {**extra, "split_role": role, **provenance})
     print(f"split {len(corpus)} -> {len(train_corpus)} train + {len(val_corpus)} validation")
 
 
@@ -227,7 +253,7 @@ def cmd_project(args, config) -> None:
             raise ConfigError(f"{flag} must be one of {LANGUAGES}, got {value!r}")
     if args.src == args.tgt:
         raise ConfigError("--src and --tgt must differ")
-    corpus = _load(args.input, args.format)
+    corpus = load_corpus(args.input, format=args.format)
     wrong = [s.id for s in corpus.sentences if s.language != args.src]
     if wrong:
         raise DataError(f"sentences not in source language {args.src!r}: {wrong[:5]}")
@@ -259,34 +285,19 @@ def cmd_project(args, config) -> None:
         },
         [Path(args.input)],
     )
-    report.corpus.provenance.update(provenance)
-    output = Path(args.output)
-    save_corpus(report.corpus, output, format=args.format)
-
-    discard_path = Path(args.discard_log) if args.discard_log else output.with_name(output.name + ".discards.jsonl")
+    save_corpus(report.corpus, args.output, format=args.format)
+    extra = {"projected_from": args.src, "projected_to": args.tgt, "backend": backend.backend_id}
+    write_provenance(args.output, {**extra, **provenance})
     write_jsonl(
-        [
+        (
             {"id": d.id, "reason": d.reason.value, "translated_text": d.translated_text}
             for d in report.discards
-        ],
-        discard_path,
+        ),
+        sidecar(args.output, "discards.jsonl"),
     )
-    pairs_path = Path(args.pairs) if args.pairs else output.with_name(output.name + ".pairs.jsonl")
-    write_jsonl(
-        [
-            {
-                "source_id": source.id,
-                "target_id": projected.sentence.id,
-                "source_spans": [
-                    [s.start, s.end, s.marker_index] for s in spans_from_mask(source.trigger_mask)
-                ],
-                "target_spans": [
-                    [s.start, s.end, s.marker_index] for s in projected.spans
-                ],
-            }
-            for source, projected in report.alignments
-        ],
-        pairs_path,
+    save_pairs(
+        (make_aligned_pair(source, projected) for source, projected in report.alignments),
+        sidecar(args.output, "pairs.jsonl"),
     )
     print(
         f"projected {len(report.corpus)} of {len(corpus)} sentences to {args.tgt} "
@@ -295,38 +306,17 @@ def cmd_project(args, config) -> None:
 
 
 def cmd_switch(args, config) -> None:
-    source = _load(args.source, args.format)
-    target = _load(args.target, args.format)
-    pairs_path = Path(args.pairs) if args.pairs else Path(args.target).with_name(Path(args.target).name + ".pairs.jsonl")
-    if not pairs_path.exists():
-        raise DataError(f"pairs file not found: {pairs_path}")
-    source_by_id = {s.id: s for s in source.sentences}
-    target_by_id = {s.id: s for s in target.sentences}
-    pairs: list[AlignedPair] = []
-    for where, record in load_pairs(pairs_path):
-        sid, tid = record["source_id"], record["target_id"]
-        if sid not in source_by_id:
-            raise DataError(f"{where}: id {sid!r} missing from the source corpus")
-        if tid not in target_by_id:
-            raise DataError(f"{where}: id {tid!r} missing from the target corpus")
-        pair = AlignedPair(
-            source=source_by_id[sid],
-            target=target_by_id[tid],
-            source_spans=[TriggerSpan(*s) for s in record["source_spans"]],
-            target_spans=[TriggerSpan(*s) for s in record["target_spans"]],
-        )
-        try:
-            pair.validate()
-        except ValueError as exc:
-            raise DataError(f"{where}: {exc}") from None
-        pairs.append(pair)
+    source = load_corpus(args.source, format=args.format)
+    target = load_corpus(args.target, format=args.format)
+    pairs_path = sidecar(args.target, "pairs.jsonl")
+    pairs = load_pairs(pairs_path, source, target)
     st_corpus, ts_corpus = switch_corpus(pairs)
     provenance = build_provenance(
         "switch", {"format": args.format}, [Path(args.source), Path(args.target), pairs_path]
     )
     for corpus_out, path in ((st_corpus, args.output_st), (ts_corpus, args.output_ts)):
-        corpus_out.provenance.update(provenance)
         save_corpus(corpus_out, path, format=args.format)
+        write_provenance(path, {"augmentation": "trigger_switch", **provenance})
     print(f"switched {len(pairs)} pairs")
 
 
@@ -347,20 +337,21 @@ def cmd_combine(args, config) -> None:
         merged = Corpus()
         seen: dict = {}  # ids must be unique across the tag's files too
         for path in paths[tag]:
-            merged.sentences.extend(_load(path, args.format, seen).sentences)
+            merged.sentences.extend(load_corpus(path, format=args.format, seen=seen))
             inputs.append(Path(path))
         corpora[tag] = merged
     combined = build_dataset(spec, corpora)
-    combined.provenance.update(
-        build_provenance("combine", {"combine": str(spec), "format": args.format}, sorted(inputs))
-    )
     save_corpus(combined, args.output, format=args.format)
+    provenance = build_provenance(
+        "combine", {"combine": str(spec), "format": args.format}, sorted(inputs)
+    )
+    write_provenance(args.output, {"combination": str(spec), **provenance})
     print(f"combined {str(spec)} -> {len(combined)} sentences")
 
 
 def cmd_train(args, config) -> None:
-    corpus = _load(args.input, args.format)
-    validation = _load(args.validation, args.format) if args.validation else None
+    corpus = load_corpus(args.input, format=args.format)
+    validation = load_corpus(args.validation, format=args.format) if args.validation else None
     lora = None
     if args.lora_r is not None:
         lora = LoraConfig(rank=args.lora_r, alpha=args.lora_alpha if args.lora_alpha is not None else 16.0)
@@ -404,7 +395,7 @@ def cmd_predict(args, config) -> None:
         digests = {model: file_sha256(model)}
     except OSError as exc:
         raise DataError(f"{model}: cannot hash the checkpoint: {exc}") from None
-    corpus = _load(args.input, args.format)
+    corpus = load_corpus(args.input, format=args.format)
     records = trained.predict(corpus)
     output = Path(args.output)
     write_jsonl(records, output)
@@ -421,21 +412,14 @@ def cmd_predict(args, config) -> None:
 
 
 def cmd_evaluate(args, config) -> None:
-    gold = _load(args.gold, args.format)
+    gold = load_corpus(args.gold, format=args.format)
     predictions_path = Path(args.predictions)
-    if not predictions_path.exists():
-        raise DataError(f"predictions file not found: {args.predictions}")
     by_id: dict[str, dict] = {}
-    line_of: dict[str, int] = {}
+    seen: dict = {}
     for lineno, record in read_jsonl(predictions_path):
-        where = f"{args.predictions} line {lineno}"
         if not isinstance(record, dict) or not isinstance(record.get("id"), str):
-            raise DataError(f"{where}: expected an object with a string 'id'")
-        if record["id"] in line_of:
-            raise DataError(
-                f"{where}: duplicate id {record['id']!r}, first at line {line_of[record['id']]}"
-            )
-        line_of[record["id"]] = lineno
+            raise DataError(f"{args.predictions} line {lineno}: expected an object with a string 'id'")
+        check_new_id(seen, record["id"], predictions_path, lineno)
         by_id[record["id"]] = record
 
     missing = [s.id for s in gold.sentences if s.id not in by_id]
@@ -477,6 +461,8 @@ def cmd_evaluate(args, config) -> None:
         mask_pairs=mask_pairs or None,
         attribution_pairs=attribution_pairs or None,
     )
+    if args.confusion_csv and report.confusion is None:
+        raise ConfigError("--confusion-csv needs emotion predictions to evaluate")
     output = Path(args.output)
     output.parent.mkdir(parents=True, exist_ok=True)
     output.write_text(
@@ -484,8 +470,6 @@ def cmd_evaluate(args, config) -> None:
         encoding="utf-8",
     )
     if args.confusion_csv:
-        if report.confusion is None:
-            raise ConfigError("--confusion-csv needs emotion predictions to evaluate")
         Path(args.confusion_csv).write_text(report.confusion.to_csv(), encoding="utf-8")
     write_provenance(
         output,
@@ -496,8 +480,6 @@ def cmd_evaluate(args, config) -> None:
 
 def cmd_parse_llm(args, config) -> None:
     input_path = Path(args.input)
-    if not input_path.exists():
-        raise DataError(f"input file not found: {args.input}")
     rows = []
     errors = []
     with open(input_path, encoding="utf-8") as handle:
@@ -506,7 +488,7 @@ def cmd_parse_llm(args, config) -> None:
             if not line:
                 continue
             if "\t" not in line:
-                raise DataError(f"line {lineno}: expected 'id<TAB>response'")
+                raise DataError(f"{input_path} line {lineno}: expected 'id<TAB>response'")
             sid, response = line.split("\t", 1)
             try:
                 label = parse_llm_response(response)
@@ -520,7 +502,7 @@ def cmd_parse_llm(args, config) -> None:
     with open(output, "w", encoding="utf-8") as handle:
         for sid, label in rows:
             handle.write(f"{sid}\t{label}\n")
-    write_jsonl(errors, output.with_name(output.name + ".errors.jsonl"))
+    write_jsonl(errors, sidecar(output, "errors.jsonl"))
     write_provenance(
         output,
         build_provenance(
@@ -531,7 +513,7 @@ def cmd_parse_llm(args, config) -> None:
 
 
 def cmd_stats(args, config) -> None:
-    corpus = _load(args.input, args.format)
+    corpus = load_corpus(args.input, format=args.format)
     counts = label_distribution(corpus)
     print(json.dumps({label.value: count for label, count in counts.items()}, indent=2))
 
@@ -567,14 +549,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", help="JSON list of [open, close] pairs, inline or a file path")
     p.add_argument("--cache-dir")
     p.add_argument("--parallelism", type=int)
-    p.add_argument("--discard-log")
-    p.add_argument("--pairs", help="where to write span alignments (default <output>.pairs.jsonl)")
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("switch", parents=[common], help="build trigger-switched corpora")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--pairs")
     p.add_argument("--output-st", required=True)
     p.add_argument("--output-ts", required=True)
     p.set_defaults(func=cmd_switch)
@@ -645,6 +624,9 @@ def main(argv=None) -> int:
     except TranslationError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
+    except OSError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except Exception:
         traceback.print_exc()
         return EXIT_INTERNAL

@@ -5,7 +5,7 @@ import json
 import random
 import re
 import unicodedata
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -114,7 +114,6 @@ class AnnotatedSentence:
 @dataclass
 class Corpus:
     sentences: list[AnnotatedSentence] = field(default_factory=list)
-    provenance: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -179,16 +178,10 @@ def _sentence_to_record(sent: AnnotatedSentence) -> dict:
     return record
 
 
-def _provenance_path(path: Path) -> Path:
-    return path.with_name(path.name + ".provenance.json")
-
-
-def write_provenance(path: Path, provenance: dict) -> None:
-    """Write the ``<path>.provenance.json`` sidecar of an output file."""
-    _provenance_path(path).write_text(
-        json.dumps(provenance, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+def sidecar(path: str | Path, kind: str) -> Path:
+    """The ``<path>.<kind>`` file that sits next to ``path``."""
+    path = Path(path)
+    return path.with_name(f"{path.name}.{kind}")
 
 
 def load_corpus(
@@ -200,6 +193,8 @@ def load_corpus(
     between calls to require ids unique across several files.
     """
     path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"input file not found: {path}")
     seen = {} if seen is None else seen
     if format == "jsonl":
         sentences = _load_jsonl(path, seen)
@@ -207,14 +202,10 @@ def load_corpus(
         sentences = _load_tsv(path, seen)
     else:
         raise ValueError(f"unknown format {format!r}")
-    provenance: dict = {}
-    prov_path = _provenance_path(path)
-    if prov_path.exists():
-        provenance = json.loads(prov_path.read_text(encoding="utf-8"))
-    return Corpus(sentences=sentences, provenance=provenance)
+    return Corpus(sentences=sentences)
 
 
-def _check_new_id(seen: dict[str, tuple[Path, int]], sid: str, path: Path, lineno: int) -> None:
+def check_new_id(seen: dict[str, tuple[Path, int]], sid: str, path: Path, lineno: int) -> None:
     """Record that ``sid`` starts at ``lineno`` of ``path``; reject an id seen before."""
     if sid in seen:
         first_path, first = seen[sid]
@@ -240,6 +231,15 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
             yield lineno, record
 
 
+def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
+    """Write one JSON object per line, creating the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
 def _load_jsonl(path: Path, seen: dict[str, tuple[Path, int]]) -> list[AnnotatedSentence]:
     sentences = []
     for lineno, record in read_jsonl(path):
@@ -247,36 +247,9 @@ def _load_jsonl(path: Path, seen: dict[str, tuple[Path, int]]) -> list[Annotated
             sent = _sentence_from_record(record)
         except CorpusFormatError as exc:
             raise CorpusFormatError(f"{exc} at line {lineno}") from None
-        _check_new_id(seen, sent.id, path, lineno)
+        check_new_id(seen, sent.id, path, lineno)
         sentences.append(sent)
     return sentences
-
-
-_PAIR_FIELDS = ("source_id", "target_id", "source_spans", "target_spans")
-
-
-def load_pairs(path: str | Path) -> Iterator[tuple[str, dict]]:
-    """Each record of a ``.pairs.jsonl`` span-alignment file with where it is,
-    ``<path> line <n>``; a malformed record is a :class:`CorpusFormatError`."""
-    for lineno, record in read_jsonl(path):
-        where = f"{path} line {lineno}"
-        if not isinstance(record, dict):
-            raise CorpusFormatError(f"{where}: record is not an object")
-        odd = sorted(set(_PAIR_FIELDS) ^ set(record))
-        if odd:
-            problem = "missing" if odd[0] in _PAIR_FIELDS else "unknown"
-            raise CorpusFormatError(f"{where}: {problem} field {odd[0]!r}")
-        if not all(isinstance(record[name], str) for name in _PAIR_FIELDS[:2]):
-            raise CorpusFormatError(f"{where}: the ids must be strings")
-        for name in _PAIR_FIELDS[2:]:
-            spans = record[name]
-            if not isinstance(spans, list) or not all(
-                type(s) is list and len(s) == 3 and all(type(v) is int for v in s) for s in spans
-            ):
-                raise CorpusFormatError(
-                    f"{where}: field {name!r} must be a list of [start, end, marker] integers"
-                )
-        yield where, record
 
 
 def _parse_tsv_header(line: str) -> dict:
@@ -320,7 +293,7 @@ def _load_tsv(path: Path, seen: dict[str, tuple[Path, int]]) -> list[AnnotatedSe
             sent.validate()
         except CorpusFormatError as exc:
             raise CorpusFormatError(f"{exc} at line {header_line}") from None
-        _check_new_id(seen, sent.id, path, header_line)
+        check_new_id(seen, sent.id, path, header_line)
         sentences.append(sent)
         header, tokens, mask, mask_seen = None, [], [], None
 
@@ -361,29 +334,15 @@ def _load_tsv(path: Path, seen: dict[str, tuple[Path, int]]) -> list[AnnotatedSe
 
 
 def save_corpus(corpus: Corpus, path: str | Path, format: str = "jsonl") -> None:
-    """Write a corpus so that a reload reproduces it field for field.
-
-    Non-empty provenance goes to a ``<path>.provenance.json`` sidecar; the
-    corpus file itself carries only sentence records.
-    """
+    """Write a corpus so that a reload reproduces it field for field."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if format == "jsonl":
-        _save_jsonl(corpus, path)
+        write_jsonl(map(_sentence_to_record, corpus.sentences), path)
     elif format == "tsv":
         _save_tsv(corpus, path)
     else:
         raise ValueError(f"unknown format {format!r}")
-    if corpus.provenance:
-        write_provenance(path, corpus.provenance)
-    else:
-        _provenance_path(path).unlink(missing_ok=True)
-
-
-def _save_jsonl(corpus: Corpus, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for sent in corpus.sentences:
-            handle.write(json.dumps(_sentence_to_record(sent), ensure_ascii=False) + "\n")
 
 
 def _save_tsv(corpus: Corpus, path: Path) -> None:
@@ -418,7 +377,7 @@ def split_train_validation(
     """Deterministic unstratified split: seeded shuffle, prefix becomes validation.
 
     Validation size is ``round(fraction * N)`` with half-up rounding. Both
-    halves keep the original sentence order and record the seed in provenance.
+    halves keep the original sentence order.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
@@ -429,17 +388,8 @@ def split_train_validation(
     indices = list(range(n))
     random.Random(seed).shuffle(indices)
     val_indices = set(indices[:n_val])
-
-    base = dict(corpus.provenance)
-    base.update({"split_seed": seed, "split_fraction": fraction, "split_stratified": False})
-    train = Corpus(
-        sentences=[s for i, s in enumerate(corpus.sentences) if i not in val_indices],
-        provenance={**base, "split_role": "train"},
-    )
-    validation = Corpus(
-        sentences=[s for i, s in enumerate(corpus.sentences) if i in val_indices],
-        provenance={**base, "split_role": "validation"},
-    )
+    train = Corpus(sentences=[s for i, s in enumerate(corpus.sentences) if i not in val_indices])
+    validation = Corpus(sentences=[s for i, s in enumerate(corpus.sentences) if i in val_indices])
     return train, validation
 
 

@@ -277,8 +277,6 @@ def project_corpus(
         if sent.trigger_mask is not None:
             alignments.append((sent, outcome))
 
-    projected = Corpus(
-        sentences=projected_sentences,
-        provenance={"projected_from": src, "projected_to": tgt, "backend": backend.backend_id},
+    return ProjectionReport(
+        corpus=Corpus(sentences=projected_sentences), alignments=alignments, discards=discards
     )
-    return ProjectionReport(corpus=projected, alignments=alignments, discards=discards)

@@ -70,7 +70,7 @@ def synthetic_corpus(
                 trigger_mask=mask,
             )
         )
-    corpus = Corpus(sentences=sentences, provenance={"generator": "synthetic", "seed": seed})
+    corpus = Corpus(sentences=sentences)
     corpus.validate()
     return corpus
 

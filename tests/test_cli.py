@@ -18,6 +18,7 @@ from xlproject.cli import (
     build_provenance,
     main,
     parse_llm_response,
+    write_provenance,
 )
 from xlproject.corpus import (
     Corpus,
@@ -25,7 +26,6 @@ from xlproject.corpus import (
     EmotionLabel,
     load_corpus,
     save_corpus,
-    write_provenance,
 )
 from xlproject.projection import spans_from_mask
 from xlproject.synthetic import mock_translation_table, synthetic_corpus
@@ -275,6 +275,51 @@ class TestCommands:
         assert code == EXIT_OK
         assert out.read_text() == "id1\tNeutral\n"
 
+    def test_parse_llm_names_its_input_on_a_bad_line(self, tmp_path, capsys):
+        inp = tmp_path / "responses.tsv"
+        inp.write_text("id1\tLabel: Joy\nno tab here\n")
+        code = main(["parse-llm", "--input", str(inp), "--output", str(tmp_path / "labels.tsv")])
+        assert code == EXIT_DATA
+        assert f"data error: {inp} line 2: expected 'id<TAB>response'" in capsys.readouterr().err
+
+    def test_evaluate_rejects_confusion_csv_before_writing(self, tmp_path, capsys):
+        gold = synthetic_corpus(2, seed=1)
+        save_corpus(gold, tmp_path / "gold.jsonl")
+        (tmp_path / "pred.jsonl").write_text("".join(
+            json.dumps({"id": s.id, "mask": s.trigger_mask}) + "\n" for s in gold.sentences))
+        code = main([
+            "evaluate", "--gold", str(tmp_path / "gold.jsonl"),
+            "--predictions", str(tmp_path / "pred.jsonl"), "--output", str(tmp_path / "report.json"),
+            "--confusion-csv", str(tmp_path / "confusion.csv"),
+        ])
+        assert code == EXIT_CONFIG
+        assert "--confusion-csv needs emotion predictions" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gold.jsonl", "pred.jsonl"]
+
+    @pytest.mark.parametrize("case", ["evaluate-output-under-a-file", "evaluate-no-predictions",
+                                      "parse-llm-no-input", "stats-on-a-directory"])
+    def test_file_system_error_is_a_data_error(self, tmp_path, capsys, case):
+        gold, predictions, missing = tmp_path / "g.jsonl", tmp_path / "p.jsonl", tmp_path / "none"
+        save_corpus(synthetic_corpus(2, seed=1), gold)
+        predictions.write_text("".join(
+            json.dumps({"id": s.id, "emotion": "Joy"}) + "\n" for s in load_corpus(gold)))
+
+        def evaluate(predictions, output):
+            return ["evaluate", "--gold", str(gold), "--predictions", str(predictions),
+                    "--output", str(output)]
+
+        argv, culprit = {
+            # the output's directory would have to be made where a regular file is
+            "evaluate-output-under-a-file": (evaluate(predictions, gold / "r.json"), gold),
+            "evaluate-no-predictions": (evaluate(missing, tmp_path / "r.json"), missing),
+            "parse-llm-no-input": (
+                ["parse-llm", "--input", str(missing), "--output", str(tmp_path / "l.tsv")], missing),
+            "stats-on-a-directory": (["stats", "--input", str(tmp_path)], tmp_path),
+        }[case]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(culprit) in err and "Traceback" not in err
+
     def test_console_entry_point(self):
         result = subprocess.run(
             [sys.executable, "-m", "xlproject", "--help"],
@@ -455,10 +500,10 @@ class TestSwitchPairsFile:
     def switch(self, tmp_path, lines):
         for name in ("source.jsonl", "target.jsonl"):
             save_corpus(synthetic_corpus(3, seed=1), tmp_path / name)
-        (tmp_path / "pairs.jsonl").write_text("".join(line + "\n" for line in lines))
+        (tmp_path / "target.jsonl.pairs.jsonl").write_text("".join(line + "\n" for line in lines))
         return main([
             "switch", "--source", str(tmp_path / "source.jsonl"),
-            "--target", str(tmp_path / "target.jsonl"), "--pairs", str(tmp_path / "pairs.jsonl"),
+            "--target", str(tmp_path / "target.jsonl"),
             "--output-st", str(tmp_path / "st.jsonl"), "--output-ts", str(tmp_path / "ts.jsonl"),
         ])
 
@@ -490,9 +535,50 @@ class TestSwitchPairsFile:
         code = self.switch(tmp_path, [json.dumps(record), damage(record)])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
-        assert f"data error: {tmp_path / 'pairs.jsonl'} line 2: " in err and problem in err
+        pairs = tmp_path / "target.jsonl.pairs.jsonl"
+        assert f"data error: {pairs} line 2: " in err and problem in err
         assert "Traceback" not in err
         assert not (tmp_path / "st.jsonl").exists()
+
+
+class TestProvenanceSidecars:
+    def split(self, tmp_path, sidecar_text=None):
+        save_corpus(synthetic_corpus(20, seed=0), tmp_path / "all.jsonl")
+        if sidecar_text is not None:
+            (tmp_path / "all.jsonl.provenance.json").write_text(sidecar_text)
+        return main([
+            "split", "--input", str(tmp_path / "all.jsonl"), "--fraction", "0.25", "--seed", "5",
+            "--output-train", str(tmp_path / "train.jsonl"),
+            "--output-validation", str(tmp_path / "val.jsonl"),
+        ])
+
+    def test_split_carries_the_input_sidecar(self, tmp_path):
+        write_provenance(tmp_path / "all.jsonl", {"generator": "synthetic", "seed": 3, "note": "x"})
+        assert self.split(tmp_path) == EXIT_OK
+        expected = {
+            "generator": "synthetic", "note": "x",
+            "split_seed": 5, "split_fraction": 0.25, "split_stratified": False,
+            **build_provenance("split", {"fraction": 0.25, "seed": 5, "format": "jsonl"},
+                               [tmp_path / "all.jsonl"], seed=5),
+        }
+        for name, role in (("train.jsonl", "train"), ("val.jsonl", "validation")):
+            record = json.loads((tmp_path / f"{name}.provenance.json").read_text())
+            assert record == {**expected, "split_role": role}
+
+    @pytest.mark.parametrize("text, problem", [("{not json", "invalid JSON"),
+                                               ("[1, 2]", "expected a JSON object")],
+                             ids=["not-json", "not-object"])
+    def test_split_rejects_a_bad_input_sidecar(self, tmp_path, capsys, text, problem):
+        assert self.split(tmp_path, text) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {tmp_path / 'all.jsonl.provenance.json'}: {problem}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "train.jsonl").exists()
+
+    def test_stats_ignores_the_input_sidecar(self, tmp_path):
+        save_corpus(synthetic_corpus(6, seed=0), tmp_path / "all.jsonl")
+        (tmp_path / "all.jsonl.provenance.json").write_bytes(b"\xff not json")
+        assert main(["stats", "--input", str(tmp_path / "all.jsonl")]) == EXIT_OK
 
 
 class TestEvaluatePredictionsFile:
@@ -586,6 +672,45 @@ def run_pipeline(root, seed=7):
         "--predictions", str(root / "predictions.jsonl"),
         "--output", str(root / "report.json"),
     ])
+
+
+# Each primary output of the eight writing commands, the command, and its own sidecar keys;
+# split carries the input's "generator" key.
+SPLIT_KEYS = {"generator", "split_seed", "split_fraction", "split_stratified", "split_role"}
+WRITTEN_OUTPUTS = [
+    ("d_s.jsonl", "split", SPLIT_KEYS),
+    ("val.jsonl", "split", SPLIT_KEYS),
+    ("d_t.jsonl", "project", {"projected_from", "projected_to", "backend"}),
+    ("d_st.jsonl", "switch", {"augmentation"}),
+    ("d_ts.jsonl", "switch", {"augmentation"}),
+    ("train_all.jsonl", "combine", {"combination"}),
+    ("model.npz", "train", set()),
+    ("predictions.jsonl", "predict", set()),
+    ("report.json", "evaluate", set()),
+    ("labels.tsv", "parse-llm", set()),
+]
+
+
+def test_every_output_has_one_provenance_sidecar(tmp_path):
+    root = tmp_path / "run"
+    root.mkdir()
+    write_provenance(root / "d_s_all.jsonl", {"generator": "synthetic", "seed": 3})
+    run_pipeline(root)
+    (root / "responses.tsv").write_text("id1\tLabel: Joy\nid2\tno label\n")
+    assert main(["parse-llm", "--input", str(root / "responses.tsv"),
+                 "--output", str(root / "labels.tsv")]) == EXIT_OK
+    for output, command, extra in WRITTEN_OUTPUTS:
+        text = (root / f"{output}.provenance.json").read_text(encoding="utf-8")
+        record = json.loads(text)
+        assert text == json.dumps(record, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+        assert set(record) == {"command", "config_hash", "seed", "inputs"} | extra, output
+        assert record["command"] == command, output
+    # The discards, pairs and errors sidecars exist and have no provenance of their own.
+    for name in ("d_t.jsonl.discards.jsonl", "d_t.jsonl.pairs.jsonl", "labels.tsv.errors.jsonl"):
+        assert (root / name).exists()
+    assert sorted(p.name for p in root.glob("*.provenance.json")) == sorted(
+        f"{name}.provenance.json" for name in ["d_s_all.jsonl", *next(zip(*WRITTEN_OUTPUTS))]
+    )
 
 
 class TestPipeline:

@@ -170,13 +170,6 @@ class TestSaveCorpus:
         with pytest.raises(CorpusFormatError, match="token contains delimiter"):
             save_corpus(Corpus(sentences=[bad]), tmp_path / "c.tsv", format="tsv")
 
-    def test_provenance_round_trips_via_sidecar(self, tmp_path):
-        corpus = Corpus(sentences=[make_sentence()], provenance={"note": "hello"})
-        path = tmp_path / "c.jsonl"
-        save_corpus(corpus, path)
-        assert (tmp_path / "c.jsonl.provenance.json").exists()
-        assert load_corpus(path) == corpus
-
     @settings(max_examples=50, deadline=None)
     @given(corpus=corpus_strategy())
     def test_round_trip_property_jsonl(self, corpus, tmp_path_factory):
@@ -218,12 +211,6 @@ class TestSplit:
             split_train_validation(corpus, 1.5, seed=0)
         with pytest.raises(ValueError, match="fraction"):
             split_train_validation(corpus, 0.0, seed=0)
-
-    def test_seed_recorded_in_provenance(self):
-        corpus = Corpus(sentences=[make_sentence(i) for i in range(4)])
-        train, val = split_train_validation(corpus, 0.25, seed=9)
-        assert train.provenance["split_seed"] == 9
-        assert val.provenance["split_stratified"] is False
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 10_000), fraction=st.floats(0.01, 0.99), seed=st.integers(0, 2**32 - 1))
