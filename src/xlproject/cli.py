@@ -9,8 +9,10 @@ configuration, the seed, input file hashes, and the command's own keys.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
+import math
 import re
 import sys
 import traceback
@@ -227,7 +229,7 @@ def cmd_split(args, config) -> None:
                 f"leaves the {name} half empty"
             )
     extra = {
-        **read_provenance(args.input),
+        "input_provenance": read_provenance(args.input),
         "split_seed": args.seed,
         "split_fraction": args.fraction,
         "split_stratified": False,
@@ -262,7 +264,6 @@ def cmd_project(args, config) -> None:
     cache_dir = resolve(args.cache_dir, config, "paths.cache_dir")
     if backend_name == "remote" and cache_dir is None:
         raise ConfigError("remote backend requires --cache-dir for reproducibility")
-    cache = TranslationCache(cache_dir) if cache_dir else None
     parallelism = resolve(args.parallelism, config, "mt.parallelism", 1)
     if type(parallelism) is not int or not 1 <= parallelism <= MAX_PARALLELISM:
         raise ConfigError(
@@ -270,9 +271,10 @@ def cmd_project(args, config) -> None:
         )
     scheme = parse_scheme(args.scheme)
 
-    report = project_corpus(
-        corpus, scheme, backend, args.src, args.tgt, cache=cache, parallelism=parallelism
-    )
+    with TranslationCache(cache_dir) if cache_dir else contextlib.nullcontext() as cache:
+        report = project_corpus(
+            corpus, scheme, backend, args.src, args.tgt, cache=cache, parallelism=parallelism
+        )
     provenance = build_provenance(
         "project",
         {
@@ -299,9 +301,14 @@ def cmd_project(args, config) -> None:
         (make_aligned_pair(source, projected) for source, projected in report.alignments),
         sidecar(args.output, "pairs.jsonl"),
     )
+    cache_use = (
+        f"cache: {cache.hits} hits, {cache.misses} misses, {cache.torn_lines} torn lines skipped"
+        if cache is not None
+        else "no cache"
+    )
     print(
         f"projected {len(report.corpus)} of {len(corpus)} sentences to {args.tgt} "
-        f"({len(report.discards)} discarded)"
+        f"({len(report.discards)} discarded); {cache_use}"
     )
 
 
@@ -411,16 +418,29 @@ def cmd_predict(args, config) -> None:
     print(f"predicted {len(records)} sentences ({trained.task})")
 
 
+def _finite_floats(values, length: int) -> list[float] | None:
+    """``values`` as floats if it is a list of ``length`` finite JSON numbers, else None."""
+    if not isinstance(values, list) or len(values) != length:
+        return None
+    if any(type(v) not in (int, float) for v in values):
+        return None
+    try:
+        floats = [float(v) for v in values]
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return floats if all(map(math.isfinite, floats)) else None
+
+
 def cmd_evaluate(args, config) -> None:
     gold = load_corpus(args.gold, format=args.format)
     predictions_path = Path(args.predictions)
-    by_id: dict[str, dict] = {}
+    by_id: dict[str, tuple[int, dict]] = {}
     seen: dict = {}
     for lineno, record in read_jsonl(predictions_path):
         if not isinstance(record, dict) or not isinstance(record.get("id"), str):
             raise DataError(f"{args.predictions} line {lineno}: expected an object with a string 'id'")
         check_new_id(seen, record["id"], predictions_path, lineno)
-        by_id[record["id"]] = record
+        by_id[record["id"]] = lineno, record
 
     missing = [s.id for s in gold.sentences if s.id not in by_id]
     if missing:
@@ -436,25 +456,36 @@ def cmd_evaluate(args, config) -> None:
     mask_pairs = []
     attribution_pairs = []
     for sentence in gold.sentences:
-        record = by_id[sentence.id]
+        lineno, record = by_id[sentence.id]
+        where = f"{args.predictions} line {lineno}"
         if "emotion" in record:
             if sentence.emotion is None:
                 raise DataError(f"gold sentence {sentence.id!r} has no emotion label")
-            emotion_pairs.append((sentence.emotion, EmotionLabel.from_string(record["emotion"])))
+            if not isinstance(record["emotion"], str):
+                raise DataError(f"{where}: 'emotion' must be a label string")
+            try:
+                predicted = EmotionLabel.from_string(record["emotion"])
+            except CorpusFormatError as exc:
+                raise DataError(f"{where}: {exc}") from None
+            emotion_pairs.append((sentence.emotion, predicted))
+        if ("mask" in record or "numeric" in record) and sentence.trigger_mask is None:
+            raise DataError(f"gold sentence {sentence.id!r} has no trigger mask")
         if "mask" in record:
-            if sentence.trigger_mask is None:
-                raise DataError(f"gold sentence {sentence.id!r} has no trigger mask")
-            if len(record["mask"]) != len(sentence.trigger_mask):
-                raise DataError(f"prediction mask length mismatch for id {sentence.id!r}")
-            mask_pairs.append((sentence.trigger_mask, [int(v) for v in record["mask"]]))
+            mask = record["mask"]
+            n = len(sentence.trigger_mask)
+            if not isinstance(mask, list) or len(mask) != n or any(
+                type(v) is not int or v not in (0, 1) for v in mask
+            ):
+                raise DataError(f"{where}: 'mask' must be a list of {n} integers 0 or 1")
+            mask_pairs.append((sentence.trigger_mask, mask))
         if "numeric" in record:
-            if sentence.trigger_mask is None:
-                raise DataError(f"gold sentence {sentence.id!r} has no trigger mask")
-            if len(record["numeric"]) != len(sentence.trigger_mask):
-                raise DataError(f"numeric attribution length mismatch for id {sentence.id!r}")
-            attribution_pairs.append(
-                (sentence.trigger_mask, normalize_attributions([float(v) for v in record["numeric"]]))
-            )
+            values = _finite_floats(record["numeric"], len(sentence.trigger_mask))
+            if values is None:
+                raise DataError(
+                    f"{where}: 'numeric' must be a list of {len(sentence.trigger_mask)} "
+                    "finite numbers"
+                )
+            attribution_pairs.append((sentence.trigger_mask, normalize_attributions(values)))
 
     report = build_report(
         emotion_pairs=emotion_pairs or None,

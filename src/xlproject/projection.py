@@ -64,6 +64,7 @@ class MarkedSentence:
 
 
 class DiscardReason(Enum):
+    MARKER_IN_SOURCE = "marker_in_source"
     MISSING_MARKER = "missing_marker"
     UNBALANCED_MARKER = "unbalanced_marker"
     REORDERED_MARKER = "reordered_marker"
@@ -112,7 +113,9 @@ def mark_sentence(
 
     A sentence without a trigger mask is marked like one with no spans: its
     text is the plain token sequence. Returns ``Discarded(too_many_spans)``
-    when the sentence has more spans than the scheme has pairs.
+    when the sentence has more spans than the scheme has pairs, and
+    ``Discarded(marker_in_source)`` when a source token contains a symbol of
+    a pair the sentence uses, which no translation could parse back.
     """
     spans = spans_from_mask(sentence.trigger_mask or [])
     if len(spans) > len(scheme.pairs):
@@ -126,7 +129,11 @@ def mark_sentence(
         parts.append(token)
         if i in closes:
             parts.append(closes[i])
-    return MarkedSentence(text=" ".join(parts), spans=spans)
+    text = " ".join(parts)
+    # Symbols hold no whitespace, so each used one occurs once unless a token holds it.
+    if any(text.count(sym) != 1 for span in spans for sym in scheme.pairs[span.marker_index]):
+        return Discarded(DiscardReason.MARKER_IN_SOURCE)
+    return MarkedSentence(text=text, spans=spans)
 
 
 def _parse_marked(

@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -87,6 +88,11 @@ class RemoteHttpBackend:
         return str(body["translatedText"])
 
 
+# A segment line starts with its key and a tab; a legacy entry sits in <2 hex>/<key>.json.
+_RECORD_KEY = re.compile(rb"[0-9a-f]{64}\t")
+_LEGACY_DIR = re.compile(r"[0-9a-f]{2}")
+
+
 def cache_key(text: str, src: str, tgt: str, backend_id: str) -> str:
     """Stable content hash for one translation request."""
     payload = "\x1f".join((backend_id, src, tgt, text)).encode("utf-8")
@@ -94,40 +100,82 @@ def cache_key(text: str, src: str, tgt: str, backend_id: str) -> str:
 
 
 class TranslationCache:
-    """Directory of JSON entries keyed by cache_key; first write wins."""
+    """Append-only log of translation records keyed by :func:`cache_key`; the first record wins.
+
+    The log is the directory's ``*.jsonl`` segments, read in name order. Each
+    line is ``<key>\\t<JSON record>\\n``. Every instance appends to a segment
+    of its own, ``<time_ns:020d>-<pid>-<unique>.jsonl``, created at its first
+    ``put``. Opening splits the segments into lines but parses no JSON; a
+    record is parsed when ``get`` hits it. A last line without its newline
+    was left by a killed writer: it is skipped and counted in ``torn_lines``.
+    Entries of the older one-file-per-entry layout, ``<2 hex>/<key>.json``,
+    are still read, never written.
+    """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self.hits = self.misses = self.torn_lines = 0
+        # key -> (raw JSON record, file, line number or None for a legacy entry)
+        self._records: dict[str, tuple[bytes, Path, int | None]] = {}
+        self._legacy = False
+        self._lock = threading.Lock()
+        self._segment: Path | None = None
+        self._fd: int | None = None
+        self._lines = 0
+        for path in sorted(self.root.iterdir()):
+            if path.suffix == ".jsonl" and path.is_file():
+                self._read_segment(path)
+            elif _LEGACY_DIR.fullmatch(path.name) and path.is_dir():
+                self._legacy = True
 
-    def _path(self, key: str) -> Path:
+    def _read_segment(self, path: Path) -> None:
+        lines = path.read_bytes().split(b"\n")
+        if lines.pop():
+            self.torn_lines += 1
+        for lineno, line in enumerate(lines, start=1):
+            if not _RECORD_KEY.match(line):
+                raise ValueError(
+                    f"corrupt translation-cache segment {path} line {lineno}: "
+                    "expected a 64-hex key and a tab"
+                )
+            self._records.setdefault(line[:64].decode("ascii"), (line[65:], path, lineno))
+
+    def _legacy_path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> str | None:
-        """The cached translation, or None on a miss; a corrupt entry raises ValueError."""
-        path = self._path(key)
-        try:
-            raw = path.read_bytes()
-        except FileNotFoundError:
+        """The cached translation, or None on a miss; a corrupt record raises ValueError."""
+        found = self._records.get(key)
+        if found is None and self._legacy:
+            path = self._legacy_path(key)
+            try:
+                found = path.read_bytes(), path, None
+            except FileNotFoundError:
+                pass
+        if found is None:
+            self.misses += 1
             return None
+        raw, path, lineno = found
         try:
             translated = json.loads(raw)["translated"]
         except (ValueError, TypeError, KeyError):
             translated = None
         if not isinstance(translated, str):
+            where = path if lineno is None else f"{path} line {lineno}"
             raise ValueError(
-                f"corrupt translation-cache entry {path}: expected JSON with a 'translated' string"
+                f"corrupt translation-cache entry {where}: expected JSON with a 'translated' string"
             )
+        self.hits += 1
         return translated
 
     def put(self, key: str, text: str, translated: str, src: str, tgt: str, backend_id: str) -> None:
-        """Store an entry unless the key is present; no reader ever sees a partial entry.
+        """Append a record unless the key is present, in one unbuffered write.
 
-        The entry is written to a temporary file next to its final path and
-        hard-linked into place, which fails if an earlier writer got there first.
+        Nothing is written if the record cannot be serialized. There is no
+        fsync: a killed process leaves at most a torn last line, which the
+        next open skips.
         """
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
             "text": text,
             "translated": translated,
@@ -136,18 +184,36 @@ class TranslationCache:
             "backend": backend_id,
             "created_at": time.time(),
         }
-        # Unique among live writers; a leftover of a killed writer is overwritten.
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        handle = open(tmp, "w", encoding="utf-8")
-        try:
-            with handle:
-                json.dump(entry, handle, ensure_ascii=False)
-            try:
-                os.link(tmp, path)
-            except FileExistsError:
-                pass  # an earlier writer already stored this key
-        finally:
-            os.unlink(tmp)
+        record = json.dumps(entry, ensure_ascii=False).encode("utf-8")
+        line = b"%s\t%s\n" % (key.encode("ascii"), record)
+        with self._lock:
+            if key in self._records or (self._legacy and self._legacy_path(key).exists()):
+                return
+            if self._fd is None:
+                name = f"{time.time_ns():020d}-{os.getpid()}-{os.urandom(4).hex()}.jsonl"
+                self._segment = self.root / name
+                flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_APPEND
+                self._fd = os.open(self._segment, flags, 0o644)
+                self._lines = 0
+            written = os.write(self._fd, line)
+            if written != len(line):
+                # The partial line stays last in its segment, where the next open skips it.
+                self.close()
+                raise OSError(f"{self._segment}: short write, {written} of {len(line)} bytes")
+            self._lines += 1
+            self._records[key] = (record, self._segment, self._lines)
+
+    def close(self) -> None:
+        """Close the segment this instance appends to; a later ``put`` starts a new one."""
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+
+    def __enter__(self) -> TranslationCache:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def translate_batch(
@@ -163,9 +229,10 @@ def translate_batch(
     """Translate texts preserving order; cache hits never touch the backend.
 
     Duplicate texts are translated once. At most ``parallelism`` requests are
-    in flight; each attempt is retried up to ``retries`` times with
-    exponential backoff. Successful translations are cached before any
-    failure propagates, so a rerun resumes from the partial results.
+    in flight; at 1 they run inline, in text order. Each attempt is retried
+    up to ``retries`` times with exponential backoff. Successful translations
+    are cached before any failure propagates, so a rerun resumes from the
+    partial results.
     """
     if src == tgt:
         raise ValueError(f"source and target language are both {src!r}")
@@ -203,21 +270,27 @@ def translate_batch(
             )
         return translated
 
+    def settle(text: str) -> tuple[str | None, Exception | None]:
+        try:
+            return run_one(text), None
+        except Exception as exc:  # reported below, at the text's first index
+            return None, exc
+
     if pending:
         unique_texts = list(pending)
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            futures = {text: pool.submit(run_one, text) for text in unique_texts}
+        if parallelism == 1:
+            outcomes = [settle(text) for text in unique_texts]
+        else:
+            with ThreadPoolExecutor(max_workers=parallelism) as pool:
+                outcomes = list(pool.map(settle, unique_texts))
+        # Texts are in order of first use, so the first failure has the lowest index.
         failure: tuple[int, Exception] | None = None
-        for text in unique_texts:
-            future = futures[text]
-            error = future.exception()
-            if error is not None:
-                first_index = min(pending[text])
-                if failure is None or first_index < failure[0]:
-                    failure = (first_index, error)
-                continue
-            for i in pending[text]:
-                results[i] = future.result()
+        for text, (translated, error) in zip(unique_texts, outcomes):
+            if error is None:
+                for i in pending[text]:
+                    results[i] = translated
+            elif failure is None:
+                failure = (pending[text][0], error)
         if failure is not None:
             index, error = failure
             raise TranslationError(

@@ -111,10 +111,48 @@ class TestCommands:
             "--tgt", "es", "--cache-dir", str(tmp_path / "cache"),
         ]
         assert main(argv) == EXIT_OK
-        entry = sorted((tmp_path / "cache").rglob("*.json"))[0]
-        entry.write_text(entry.read_text()[:20])
+        (segment,) = (tmp_path / "cache").glob("*.jsonl")
+        lines = segment.read_text().splitlines(keepends=True)
+        segment.write_text(lines[0][:84] + "\n" + "".join(lines[1:]))  # the key, a tab, a stub
         assert main(argv) == EXIT_DATA
-        assert str(entry) in capsys.readouterr().err
+        assert f"{segment} line 1:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["", "not a record", "0" * 64 + " {}"],
+                             ids=["empty", "no-key", "no-tab"])
+    def test_project_names_a_cache_line_without_a_key(self, tmp_path, capsys, line):
+        save_corpus(synthetic_corpus(3, seed=1), tmp_path / "ds.jsonl")
+        argv = [
+            "project", "--input", str(tmp_path / "ds.jsonl"), "--output", str(tmp_path / "o.jsonl"),
+            "--tgt", "es", "--cache-dir", str(tmp_path / "cache"),
+        ]
+        assert main(argv) == EXIT_OK
+        (segment,) = (tmp_path / "cache").glob("*.jsonl")
+        lines = segment.read_text().splitlines(keepends=True)
+        segment.write_text("".join(lines[:1] + [line + "\n"] + lines[1:]))
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: corrupt translation-cache segment {segment} line 2:" in err
+        assert "Traceback" not in err
+
+    def test_project_reports_its_cache_use(self, tmp_path, capsys):
+        save_corpus(synthetic_corpus(4, seed=1), tmp_path / "ds.jsonl")
+        argv = [
+            "project", "--input", str(tmp_path / "ds.jsonl"), "--output", str(tmp_path / "o.jsonl"),
+            "--tgt", "es",
+        ]
+        cache_argv = argv + ["--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.endswith("; no cache\n")
+        assert main(cache_argv) == EXIT_OK
+        assert capsys.readouterr().out.endswith("; cache: 0 hits, 4 misses, 0 torn lines skipped\n")
+        # A writer killed mid-line leaves a last line without its newline.
+        with open(next((tmp_path / "cache").glob("*.jsonl")), "a") as handle:
+            handle.write("0" * 64 + '\t{"text": ')
+        outputs = {p.name: p.read_bytes() for p in tmp_path.glob("o.jsonl*")}
+        assert main(cache_argv) == EXIT_OK
+        assert capsys.readouterr().out.endswith("; cache: 4 hits, 0 misses, 1 torn lines skipped\n")
+        assert {p.name: p.read_bytes() for p in tmp_path.glob("o.jsonl*")} == outputs
+        assert len(list((tmp_path / "cache").iterdir())) == 1
 
     def test_project_identity_no_discards(self, tmp_path):
         corpus = synthetic_corpus(20, seed=1)
@@ -556,7 +594,7 @@ class TestProvenanceSidecars:
         write_provenance(tmp_path / "all.jsonl", {"generator": "synthetic", "seed": 3, "note": "x"})
         assert self.split(tmp_path) == EXIT_OK
         expected = {
-            "generator": "synthetic", "note": "x",
+            "input_provenance": {"generator": "synthetic", "seed": 3, "note": "x"},
             "split_seed": 5, "split_fraction": 0.25, "split_stratified": False,
             **build_provenance("split", {"fraction": 0.25, "seed": 5, "format": "jsonl"},
                                [tmp_path / "all.jsonl"], seed=5),
@@ -619,6 +657,43 @@ class TestEvaluatePredictionsFile:
         assert "['x0', 'x1', 'x2', 'x3', 'x4']" in err
         assert not (tmp_path / "report.json").exists()
 
+    # Each bad value is JSON text built for a gold sentence of n tokens.
+    @pytest.mark.parametrize("field, value, problem", [
+        ("mask", lambda n: "5", "'mask' must be a list of {n} integers 0 or 1"),
+        ("mask", lambda n: json.dumps([2] * n), "'mask' must be a list of {n} integers 0 or 1"),
+        ("mask", lambda n: json.dumps([0.7] * n), "'mask' must be a list of {n} integers 0 or 1"),
+        ("mask", lambda n: json.dumps([True] * n), "'mask' must be a list of {n} integers 0 or 1"),
+        ("mask", lambda n: json.dumps([0] * (n - 1)),
+         "'mask' must be a list of {n} integers 0 or 1"),
+        ("numeric", lambda n: "0.5", "'numeric' must be a list of {n} finite numbers"),
+        ("numeric", lambda n: json.dumps([0.5] * (n - 1) + [float("nan")]),
+         "'numeric' must be a list of {n} finite numbers"),
+        ("numeric", lambda n: json.dumps([0.5] * (n - 1))[:-1] + ", 1e400]",
+         "'numeric' must be a list of {n} finite numbers"),
+        ("numeric", lambda n: json.dumps(["0.5"] * n),
+         "'numeric' must be a list of {n} finite numbers"),
+        ("numeric", lambda n: json.dumps([0] * (n - 1) + [10**400]),
+         "'numeric' must be a list of {n} finite numbers"),
+        ("emotion", lambda n: '"Happy"', "unknown emotion label 'Happy'"),
+        ("emotion", lambda n: "3", "'emotion' must be a label string"),
+    ], ids=["mask-int", "mask-twos", "mask-floats", "mask-bools", "mask-short", "numeric-float",
+            "numeric-nan", "numeric-inf", "numeric-strings", "numeric-huge-int",
+            "emotion-unknown", "emotion-int"])
+    def test_bad_prediction_value_names_file_and_line(self, tmp_path, capsys, field, value,
+                                                      problem):
+        good, bad = synthetic_corpus(2, seed=1).sentences
+        n = len(bad.tokens)
+        lines = [
+            json.dumps({"id": good.id, field: "Joy" if field == "emotion" else good.trigger_mask}),
+            f'{{"id": {json.dumps(bad.id)}, {json.dumps(field)}: {value(n)}}}',
+        ]
+        _, code = self.evaluate(tmp_path, lines)
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'pred.jsonl'} line 2: {problem.format(n=n)}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("line", ['["not", "an", "object"]', '{"id": ["x"]}', "{}"])
     def test_record_without_string_id_rejected(self, tmp_path, capsys, line):
         _, code = self.evaluate(tmp_path, [line])
@@ -675,8 +750,8 @@ def run_pipeline(root, seed=7):
 
 
 # Each primary output of the eight writing commands, the command, and its own sidecar keys;
-# split carries the input's "generator" key.
-SPLIT_KEYS = {"generator", "split_seed", "split_fraction", "split_stratified", "split_role"}
+# split carries the input's sidecar whole.
+SPLIT_KEYS = {"input_provenance", "split_seed", "split_fraction", "split_stratified", "split_role"}
 WRITTEN_OUTPUTS = [
     ("d_s.jsonl", "split", SPLIT_KEYS),
     ("val.jsonl", "split", SPLIT_KEYS),

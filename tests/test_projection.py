@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from xlproject.corpus import AnnotatedSentence, Corpus, DatasetTag, EmotionLabel
@@ -113,6 +113,15 @@ class TestMarkSentence:
         scheme = MarkerScheme(pairs=(("{", "}"), ("[", "]")))
         marked = mark_sentence(sentence(["so", "happy", "today"], [0, 1, 1]), scheme)
         assert marked.text == "so { happy today }"
+
+    @pytest.mark.parametrize("tokens", [["a[b", "love"], ["a", "love]"], ["]", "love"]])
+    def test_marker_of_a_used_pair_in_a_token(self, tokens):
+        out = mark_sentence(sentence(tokens, [0, 1]), SCHEME)
+        assert out == Discarded(DiscardReason.MARKER_IN_SOURCE)
+
+    def test_marker_of_an_unused_pair_in_a_token_is_kept(self):
+        marked = mark_sentence(sentence(["f(x)", "love"], [0, 1]), SCHEME)
+        assert marked.text == "f(x) [ love ]"
 
 
 def span_texts(outcome):
@@ -315,3 +324,20 @@ class TestProjectCorpus:
             for s in corpus.sentences
         ]
         assert [(d.id, d.reason, d.translated_text) for d in report.discards] == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(src=masked_sentences(), data=st.data())
+    def test_marker_in_a_source_token_is_discarded_untranslated(self, src, data):
+        spans = spans_from_mask(src.trigger_mask)
+        assume(spans)
+        span = data.draw(st.sampled_from(spans))
+        symbol = data.draw(st.sampled_from(SCHEME.pairs[span.marker_index]))
+        i = data.draw(st.integers(0, len(src.tokens) - 1))
+        cut = data.draw(st.integers(0, len(src.tokens[i])))
+        src.tokens[i] = src.tokens[i][:cut] + symbol + src.tokens[i][cut:]
+        backend = IdentityBackend()
+        report = project_corpus(Corpus(sentences=[src]), SCHEME, backend, "en", "es")
+        assert [(d.id, d.reason, d.translated_text) for d in report.discards] == [
+            (src.id, DiscardReason.MARKER_IN_SOURCE, "")
+        ]
+        assert backend.calls == 0

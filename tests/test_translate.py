@@ -1,4 +1,6 @@
+import json
 import re
+import threading
 
 import pytest
 
@@ -30,6 +32,18 @@ class FlakyBackend:
             self.failures[text] -= 1
             raise RuntimeError(f"transient failure: {text}")
         return text.upper()
+
+
+def segments(root):
+    return sorted(root.glob("*.jsonl"))
+
+
+def write_legacy_entry(root, key, entry):
+    """An entry in the one-file-per-entry layout the log replaced."""
+    path = root / key[:2] / f"{key}.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps(entry, ensure_ascii=False), encoding="utf-8")
+    return path
 
 
 class TestCacheKey:
@@ -96,24 +110,108 @@ class TestCaching:
 
     @pytest.mark.parametrize("content", ['{"text": "t", "transl', '{"text": "t"}', "[1]", ""])
     def test_corrupt_entry_names_its_file(self, tmp_path, content):
-        cache = TranslationCache(tmp_path / "cache")
         key = cache_key("t", "en", "es", "b")
-        cache.put(key, "t", "x", "en", "es", "b")
-        path = cache._path(key)
-        path.write_text(content)
-        with pytest.raises(ValueError, match=re.escape(str(path))):
+        with TranslationCache(tmp_path / "cache") as cache:
+            cache.put(key, "t", "x", "en", "es", "b")
+        (segment,) = segments(tmp_path / "cache")
+        segment.write_text(f"{key}\t{content}\n")
+        cache = TranslationCache(tmp_path / "cache")
+        with pytest.raises(ValueError, match=re.escape(f"{segment} line 1")):
             cache.get(key)
 
     def test_put_failing_mid_write_leaves_no_entry(self, tmp_path):
         cache = TranslationCache(tmp_path / "cache")
         key = cache_key("t", "en", "es", "b")
-        # json.dump has written the first fields when it meets the bad value.
+        # The record fails to serialize at its last field but one.
         with pytest.raises(TypeError):
             cache.put(key, "t", "x", "en", "es", object())
-        assert list(cache._path(key).parent.iterdir()) == []
+        assert list((tmp_path / "cache").iterdir()) == []
         assert cache.get(key) is None
         cache.put(key, "t", "x", "en", "es", "b")
+        cache.close()
         assert cache.get(key) == "x"
+        assert TranslationCache(tmp_path / "cache").get(key) == "x"
+
+    def test_warm_run_writes_nothing(self, tmp_path):
+        with TranslationCache(tmp_path / "cache") as cache:
+            translate_batch(["a", "b"], "en", "es", IdentityBackend(), cache=cache)
+        before = {p: p.read_bytes() for p in (tmp_path / "cache").iterdir()}
+        with TranslationCache(tmp_path / "cache") as cache:
+            translate_batch(["a", "b"], "en", "es", IdentityBackend(), cache=cache)
+            assert (cache.hits, cache.misses) == (2, 0)
+        assert {p: p.read_bytes() for p in (tmp_path / "cache").iterdir()} == before
+        assert len(before) == 1
+
+    def test_torn_last_line_skipped_and_counted(self, tmp_path):
+        keys = [cache_key(t, "en", "es", "b") for t in ("a", "b", "c")]
+        with TranslationCache(tmp_path / "cache") as cache:
+            for key, text in zip(keys, "abc"):
+                cache.put(key, text, text.upper(), "en", "es", "b")
+        # A writer killed mid-line leaves the start of its last record and no newline.
+        (segment,) = segments(tmp_path / "cache")
+        data = segment.read_bytes()
+        segment.write_bytes(data[: data.rindex(b"\t") + 5])
+        cache = TranslationCache(tmp_path / "cache")
+        assert cache.torn_lines == 1
+        assert [cache.get(k) for k in keys] == ["A", "B", None]
+        cache.put(keys[2], "c", "C", "en", "es", "b")
+        cache.close()
+        reopened = TranslationCache(tmp_path / "cache")
+        assert reopened.torn_lines == 1
+        assert [reopened.get(k) for k in keys] == ["A", "B", "C"]
+        assert len(segments(tmp_path / "cache")) == 2
+
+    @pytest.mark.parametrize("line", ["", "no key at all", "ab" * 32 + " {}", "AB" * 32 + "\t{}",
+                                      "ab" * 31 + "\t{}"],
+                             ids=["empty", "no-key", "no-tab", "upper-hex", "short-key"])
+    def test_complete_line_without_key_names_file_and_line(self, tmp_path, line):
+        key = cache_key("a", "en", "es", "b")
+        with TranslationCache(tmp_path / "cache") as cache:
+            cache.put(key, "a", "A", "en", "es", "b")
+        (segment,) = segments(tmp_path / "cache")
+        with open(segment, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{segment} line 2")):
+            TranslationCache(tmp_path / "cache")
+
+    def test_interleaved_writers_earliest_segment_wins(self, tmp_path):
+        root = tmp_path / "cache"
+        first, second = TranslationCache(root), TranslationCache(root)
+        keys = [cache_key(t, "en", "es", "b") for t in ("k0", "k1", "k2", "k3")]
+        first.put(keys[0], "k0", "first0", "en", "es", "b")
+        second.put(keys[0], "k0", "second0", "en", "es", "b")
+        second.put(keys[1], "k1", "second1", "en", "es", "b")
+        first.put(keys[1], "k1", "first1", "en", "es", "b")
+        second.put(keys[2], "k2", "second2", "en", "es", "b")
+        first.put(keys[3], "k3", "first3", "en", "es", "b")
+        # Each instance reads back what it wrote.
+        assert first.get(keys[1]) == "first1" and second.get(keys[1]) == "second1"
+        first.close()
+        second.close()
+        expected = {}
+        for segment in segments(root):
+            for line in segment.read_text(encoding="utf-8").splitlines():
+                key, record = line.split("\t")
+                expected.setdefault(key, json.loads(record)["translated"])
+        assert len(segments(root)) == 2 and len(expected) == 4
+        reopened = TranslationCache(root)
+        assert {k: reopened.get(k) for k in keys} == expected
+
+    def test_legacy_entries_still_hit(self, tmp_path):
+        root = tmp_path / "cache"
+        key = cache_key("old", "en", "es", "identity")
+        legacy = write_legacy_entry(root, key, {"text": "old", "translated": "OLD", "src": "en",
+                                                "tgt": "es", "backend": "identity",
+                                                "created_at": 1.0})
+        backend = IdentityBackend()
+        with TranslationCache(root) as cache:
+            out = translate_batch(["old", "new"], "en", "es", backend, cache=cache)
+            cache.put(key, "old", "other", "en", "es", "identity")  # the legacy entry came first
+        assert out == ["OLD", "new"] and backend.calls == 1
+        assert TranslationCache(root).get(key) == "OLD"
+        legacy.write_text('{"text": "old"')
+        with pytest.raises(ValueError, match=re.escape(f"entry {legacy}:")):
+            TranslationCache(root).get(key)
 
     def test_order_preserved_with_mixed_hits(self, tmp_path):
         backend = IdentityBackend()
@@ -145,3 +243,38 @@ class TestRetries:
         texts = [f"t{i}" for i in range(40)]
         out = translate_batch(texts, "en", "es", backend, cache=cache, parallelism=8)
         assert out == texts
+
+    @pytest.mark.parametrize("permanent_fail", [(), ("t3",), ("t5", "t2")], ids=["ok", "one", "two"])
+    def test_inline_and_pooled_batches_agree(self, tmp_path, permanent_fail):
+        texts = [f"t{i % 7}" for i in range(20)]
+        outcomes = []
+        for parallelism in (1, 8):
+            backend = FlakyBackend(failures={"t1": 1}, permanent_fail=permanent_fail)
+            root = tmp_path / f"cache{parallelism}"
+            with TranslationCache(root) as cache:
+                try:
+                    outcome = translate_batch(texts, "en", "es", backend, cache=cache,
+                                              parallelism=parallelism, backoff=0.0)
+                except TranslationError as exc:
+                    outcome = (exc.index, str(exc))
+            reopened = TranslationCache(root)
+            cached = {t: reopened.get(cache_key(t, "en", "es", "flaky")) for t in set(texts)}
+            outcomes.append((outcome, cached, backend.calls))
+        assert outcomes[0] == outcomes[1]
+        if permanent_fail:
+            assert outcomes[0][0][0] == min(texts.index(t) for t in permanent_fail)
+
+    def test_parallelism_1_runs_inline_in_text_order(self, tmp_path):
+        seen = []
+
+        class RecordingBackend(IdentityBackend):
+            def translate(self, text, src, tgt):
+                seen.append((text, threading.current_thread()))
+                return super().translate(text, src, tgt)
+
+        with TranslationCache(tmp_path / "cache") as cache:
+            translate_batch(["b", "a", "b", "c"], "en", "es", RecordingBackend(), cache=cache)
+        assert seen == [(t, threading.main_thread()) for t in ("b", "a", "c")]
+        (segment,) = segments(tmp_path / "cache")
+        assert [json.loads(line.split("\t")[1])["text"]
+                for line in segment.read_text().splitlines()] == ["b", "a", "c"]
