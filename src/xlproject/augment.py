@@ -15,7 +15,7 @@ from .corpus import (
     read_jsonl,
     write_jsonl,
 )
-from .projection import Projected, TriggerSpan, spans_from_mask
+from .projection import Projected, TriggerSpan
 
 TAG_ORDER = (DatasetTag.D_S, DatasetTag.D_T, DatasetTag.D_ST, DatasetTag.D_TS)
 
@@ -48,7 +48,7 @@ def make_aligned_pair(source: AnnotatedSentence, projected: Projected) -> Aligne
     pair = AlignedPair(
         source=source,
         target=projected.sentence,
-        source_spans=spans_from_mask(source.trigger_mask or []),
+        source_spans=list(projected.source_spans),
         target_spans=list(projected.spans),
     )
     pair.validate()
@@ -155,10 +155,7 @@ def switch_triggers(pair: AlignedPair) -> tuple[AnnotatedSentence, AnnotatedSent
     target-host sentence with source-language triggers. Both keep the host
     language code and are flagged bilingual.
     """
-    src_keys = {s.marker_index for s in pair.source_spans}
-    tgt_keys = {s.marker_index for s in pair.target_spans}
-    if src_keys != tgt_keys:
-        raise ValueError(f"corrupt pair {pair.source.id!r}: marker indices differ")
+    pair.validate()
     x_st = _substitute(pair.source, pair.source_spans, pair.target, pair.target_spans, DatasetTag.D_ST)
     x_ts = _substitute(pair.target, pair.target_spans, pair.source, pair.source_spans, DatasetTag.D_TS)
     return x_st, x_ts

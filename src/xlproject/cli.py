@@ -35,6 +35,7 @@ from .corpus import (
     DatasetTag,
     EmotionLabel,
     check_new_id,
+    is_binary_mask,
     label_distribution,
     load_corpus,
     read_jsonl,
@@ -43,7 +44,8 @@ from .corpus import (
     split_train_validation,
     write_jsonl,
 )
-from .metrics import build_report, normalize_attributions
+# perfbench/tracing.py looks up normalize_attributions, the one-sentence normalize_each, here.
+from .metrics import build_report, normalize_attributions, normalize_each  # noqa: F401
 from .projection import MarkerScheme, project_corpus
 from .training import (
     LoraConfig,
@@ -109,17 +111,23 @@ def parse_llm_response(text: str) -> EmotionLabel:
 # ---------------------------------------------------------------------------
 # configuration and provenance plumbing
 
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 def load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     config_path = Path(path)
     if not config_path.exists():
         raise ConfigError(f"config file not found: {path}")
-    loaded = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+    try:
+        loaded = yaml.load(config_path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
+    except (UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if loaded is None:
         return {}
     if not isinstance(loaded, dict):
-        raise ConfigError("config file must contain a mapping")
+        raise ConfigError(f"{path}: config file must contain a mapping")
     return loaded
 
 
@@ -418,17 +426,13 @@ def cmd_predict(args, config) -> None:
     print(f"predicted {len(records)} sentences ({trained.task})")
 
 
-def _finite_floats(values, length: int) -> list[float] | None:
-    """``values`` as floats if it is a list of ``length`` finite JSON numbers, else None."""
-    if not isinstance(values, list) or len(values) != length:
-        return None
-    if any(type(v) not in (int, float) for v in values):
-        return None
+def _finite_numbers(values, length: int) -> bool:
+    """Whether ``values`` is a list of ``length`` finite JSON numbers."""
     try:
-        floats = [float(v) for v in values]
+        return (isinstance(values, list) and len(values) == length
+                and set(map(type, values)) <= {int, float} and all(map(math.isfinite, values)))
     except OverflowError:  # an integer beyond the float range
-        return None
-    return floats if all(map(math.isfinite, floats)) else None
+        return False
 
 
 def cmd_evaluate(args, config) -> None:
@@ -454,7 +458,7 @@ def cmd_evaluate(args, config) -> None:
 
     emotion_pairs = []
     mask_pairs = []
-    attribution_pairs = []
+    numeric_masks, numeric_values = [], []
     for sentence in gold.sentences:
         lineno, record = by_id[sentence.id]
         where = f"{args.predictions} line {lineno}"
@@ -468,25 +472,22 @@ def cmd_evaluate(args, config) -> None:
             except CorpusFormatError as exc:
                 raise DataError(f"{where}: {exc}") from None
             emotion_pairs.append((sentence.emotion, predicted))
-        if ("mask" in record or "numeric" in record) and sentence.trigger_mask is None:
-            raise DataError(f"gold sentence {sentence.id!r} has no trigger mask")
+        if "mask" in record or "numeric" in record:
+            if sentence.trigger_mask is None:
+                raise DataError(f"gold sentence {sentence.id!r} has no trigger mask")
+            n = len(sentence.trigger_mask)
         if "mask" in record:
             mask = record["mask"]
-            n = len(sentence.trigger_mask)
-            if not isinstance(mask, list) or len(mask) != n or any(
-                type(v) is not int or v not in (0, 1) for v in mask
-            ):
+            if not is_binary_mask(mask) or len(mask) != n:
                 raise DataError(f"{where}: 'mask' must be a list of {n} integers 0 or 1")
             mask_pairs.append((sentence.trigger_mask, mask))
         if "numeric" in record:
-            values = _finite_floats(record["numeric"], len(sentence.trigger_mask))
-            if values is None:
-                raise DataError(
-                    f"{where}: 'numeric' must be a list of {len(sentence.trigger_mask)} "
-                    "finite numbers"
-                )
-            attribution_pairs.append((sentence.trigger_mask, normalize_attributions(values)))
+            if not _finite_numbers(record["numeric"], n):
+                raise DataError(f"{where}: 'numeric' must be a list of {n} finite numbers")
+            numeric_masks.append(sentence.trigger_mask)
+            numeric_values.append(record["numeric"])
 
+    attribution_pairs = list(zip(numeric_masks, normalize_each(numeric_values)))
     report = build_report(
         emotion_pairs=emotion_pairs or None,
         mask_pairs=mask_pairs or None,
@@ -649,15 +650,12 @@ def main(argv=None) -> int:
     except (ConfigError, TrainConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, CorpusFormatError, ValueError) as exc:
+    except (DataError, CorpusFormatError, ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TranslationError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except Exception:
         traceback.print_exc()
         return EXIT_INTERNAL

@@ -17,6 +17,7 @@ class CorpusFormatError(ValueError):
     """A corpus file or record violates the schema."""
 
 
+_FIELDS = frozenset({"id", "lang", "tokens", "emotion", "mask", "origin", "bilingual"})
 # Matches exactly the characters for which ``str.isspace()`` is true.
 _WHITESPACE = re.compile(r"\s").search
 
@@ -36,7 +37,7 @@ class EmotionLabel(Enum):
     def from_string(cls, text: str) -> EmotionLabel:
         try:
             return _LABELS_BY_WORD[text]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: a JSON list or object
             raise CorpusFormatError(
                 f"unknown emotion label {text!r}; expected one of {sorted(_LABELS_BY_WORD)}"
             ) from None
@@ -86,16 +87,19 @@ class AnnotatedSentence:
     trigger_mask: list[int] | None = None
     bilingual: bool = False
 
-    def validate(self) -> None:
+    def validate(self, joined: str | None = None) -> None:
+        """Check the fields; ``joined`` is the tokens joined by NUL (not whitespace)."""
+        joined = "\0".join(self.tokens) if joined is None else joined
         if not self.id:
             raise CorpusFormatError("empty id")
         if not self.tokens:
             raise CorpusFormatError("tokens must be non-empty")
-        for tok in self.tokens:
-            if not tok:
-                raise CorpusFormatError("empty token")
-            if _WHITESPACE(tok):
-                raise CorpusFormatError(f"token contains whitespace: {tok!r}")
+        if "" in self.tokens or _WHITESPACE(joined):
+            for tok in self.tokens:  # name the first offending token
+                if not tok:
+                    raise CorpusFormatError("empty token")
+                if _WHITESPACE(tok):
+                    raise CorpusFormatError(f"token contains whitespace: {tok!r}")
         if self.language not in LANGUAGES:
             raise CorpusFormatError(
                 f"unknown language {self.language!r}; expected one of {LANGUAGES}"
@@ -103,7 +107,7 @@ class AnnotatedSentence:
         if self.trigger_mask is not None:
             if len(self.trigger_mask) != len(self.tokens):
                 raise CorpusFormatError("mask length mismatch")
-            if any(v not in (0, 1) for v in self.trigger_mask):
+            if self.trigger_mask.count(0) + self.trigger_mask.count(1) != len(self.trigger_mask):
                 raise CorpusFormatError("mask values must be 0 or 1")
         if self.origin is DatasetTag.D_S and self.language != "en":
             raise CorpusFormatError("D_S sentences must have language 'en'")
@@ -130,39 +134,47 @@ class Corpus:
             seen.add(sent.id)
 
 
-def _nfc(text: str) -> str:
-    return unicodedata.normalize("NFC", text)
+def is_binary_mask(mask: object) -> bool:
+    """Whether ``mask`` is a list of the integers 0 and 1, ``True`` and ``1.0`` excluded."""
+    return (isinstance(mask, list) and set(map(type, mask)) <= {int}
+            and mask.count(0) + mask.count(1) == len(mask))
 
 
 def _sentence_from_record(record: dict) -> AnnotatedSentence:
     if not isinstance(record, dict):
         raise CorpusFormatError("record is not an object")
-    known = {"id", "lang", "tokens", "emotion", "mask", "origin", "bilingual"}
-    unknown = set(record) - known
-    if unknown:
-        raise CorpusFormatError(f"unknown field {sorted(unknown)[0]!r}")
+    if not record.keys() <= _FIELDS:
+        raise CorpusFormatError(f"unknown field {sorted(record.keys() - _FIELDS)[0]!r}")
     for req in ("id", "lang", "tokens", "origin"):
         if req not in record:
             raise CorpusFormatError(f"missing field {req!r}")
     tokens = record["tokens"]
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-        raise CorpusFormatError("field 'tokens' must be a list of strings")
-    emotion = record.get("emotion")
+    try:
+        if not isinstance(tokens, list):
+            raise TypeError
+        joined = "\0".join(tokens)
+    except TypeError:  # not a list, or a token that is not a string
+        raise CorpusFormatError("field 'tokens' must be a list of strings") from None
     mask = record.get("mask")
-    if mask is not None and (
-        not isinstance(mask, list) or any(not isinstance(v, int) for v in mask)
-    ):
+    if mask is not None and not (isinstance(mask, list) and set(map(type, mask)) <= {int}):
         raise CorpusFormatError("field 'mask' must be a list of 0/1 integers")
+    bilingual = record.get("bilingual", False)
+    if type(bilingual) is not bool:
+        raise CorpusFormatError("field 'bilingual' must be true or false")
+    # NUL composes with nothing, so the joined text is NFC exactly when every token is.
+    if not unicodedata.is_normalized("NFC", joined):
+        tokens = [unicodedata.normalize("NFC", t) for t in tokens]
+        joined = "\0".join(tokens)
     sent = AnnotatedSentence(
-        id=_nfc(str(record["id"])),
-        tokens=[_nfc(t) for t in tokens],
+        id=unicodedata.normalize("NFC", str(record["id"])),
+        tokens=tokens,
         language=str(record["lang"]),
         origin=DatasetTag.from_string(str(record["origin"])),
-        emotion=EmotionLabel.from_string(emotion) if emotion is not None else None,
-        trigger_mask=list(mask) if mask is not None else None,
-        bilingual=bool(record.get("bilingual", False)),
+        emotion=None if record.get("emotion") is None else EmotionLabel.from_string(record["emotion"]),
+        trigger_mask=mask,
+        bilingual=bilingual,
     )
-    sent.validate()
+    sent.validate(joined)
     return sent
 
 
@@ -231,13 +243,17 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
             yield lineno, record
 
 
+# What ``json.dumps(record, ensure_ascii=False)`` builds on every call.
+_ENCODE = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
     """Write one JSON object per line, creating the parent directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+            handle.write(_ENCODE(record) + "\n")
 
 
 def _load_jsonl(path: Path, seen: dict[str, tuple[Path, int]]) -> list[AnnotatedSentence]:
@@ -246,7 +262,7 @@ def _load_jsonl(path: Path, seen: dict[str, tuple[Path, int]]) -> list[Annotated
         try:
             sent = _sentence_from_record(record)
         except CorpusFormatError as exc:
-            raise CorpusFormatError(f"{exc} at line {lineno}") from None
+            raise CorpusFormatError(f"{path}: {exc} at line {lineno}") from None
         check_new_id(seen, sent.id, path, lineno)
         sentences.append(sent)
     return sentences
@@ -280,17 +296,11 @@ def _load_tsv(path: Path, seen: dict[str, tuple[Path, int]]) -> list[AnnotatedSe
         nonlocal header, tokens, mask, mask_seen
         if header is None:
             return
-        sent = AnnotatedSentence(
-            id=_nfc(header["id"]),
-            tokens=tokens,
-            language=header["lang"],
-            origin=DatasetTag.from_string(header["origin"]),
-            emotion=EmotionLabel.from_string(header["emotion"]) if "emotion" in header else None,
-            trigger_mask=mask if mask_seen else None,
-            bilingual=header.get("bilingual") == "true",
-        )
+        bilingual = header.get("bilingual", "false")
+        record = {**header, "tokens": tokens, "mask": mask if mask_seen else None,
+                  "bilingual": {"true": True, "false": False}.get(bilingual, bilingual)}
         try:
-            sent.validate()
+            sent = _sentence_from_record(record)
         except CorpusFormatError as exc:
             raise CorpusFormatError(f"{exc} at line {header_line}") from None
         check_new_id(seen, sent.id, path, header_line)
@@ -324,7 +334,7 @@ def _load_tsv(path: Path, seen: dict[str, tuple[Path, int]]) -> list[AnnotatedSe
                 mask_seen = has_mask
             elif mask_seen != has_mask:
                 raise CorpusFormatError(f"inconsistent mask column at line {lineno}")
-            tokens.append(_nfc(columns[0]))
+            tokens.append(columns[0])
             if has_mask:
                 if columns[1] not in ("0", "1"):
                     raise CorpusFormatError(f"mask value must be 0 or 1 at line {lineno}")

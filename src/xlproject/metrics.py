@@ -9,6 +9,7 @@ all-negative attribution vectors normalize to uniform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -25,20 +26,43 @@ class Attributions:
         return len(self.values)
 
 
+def rows_by_length(flat: np.ndarray, lengths: list[int], rows_fn) -> list[list[float]]:
+    """``rows_fn`` of the sentences whose values follow one another in ``flat``, run on
+    the (n, L) array of each length L: numpy sums its rows as it sums a 1-D array."""
+    sizes = np.asarray(lengths, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    out: list = [None] * len(lengths)
+    # Not np.unique: without return_* flags it imports numpy.ma (about 1.3 MB).
+    for length in set(lengths):
+        which = np.flatnonzero(sizes == length)
+        rows = rows_fn(flat[starts[which, None] + np.arange(length)])
+        for i, values in zip(which.tolist(), rows.tolist()):
+            out[i] = values
+    return out
+
+
+def _clamp_and_rescale(rows: np.ndarray) -> np.ndarray:
+    clamped = np.clip(rows, 0.0, None)
+    totals = clamped.sum(axis=-1)
+    clamped[totals > 0.0] /= totals[totals > 0.0, None]
+    clamped[~(totals > 0.0)] = 1.0 / rows.shape[1]
+    return clamped
+
+
+def normalize_each(raws: list[list[float]]) -> list[Attributions]:
+    """:func:`normalize_attributions` of every list."""
+    lengths = [len(raw) for raw in raws]
+    if 0 in lengths:
+        raise ValueError("attribution list must be non-empty")
+    flat = np.fromiter(chain.from_iterable(raws), dtype=np.float64, count=sum(lengths))
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("attributions must be finite")
+    return [Attributions(values) for values in rows_by_length(flat, lengths, _clamp_and_rescale)]
+
+
 def normalize_attributions(raw: list[float]) -> Attributions:
     """Clamp negatives to zero and rescale to sum 1 (uniform if everything clamps)."""
-    if not raw:
-        raise ValueError("attribution list must be non-empty")
-    arr = np.asarray(raw, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("attributions must be finite")
-    clamped = np.clip(arr, 0.0, None)
-    total = clamped.sum()
-    if total > 0.0:
-        clamped = clamped / total
-    else:
-        clamped = np.full(len(raw), 1.0 / len(raw))
-    return Attributions(values=clamped.tolist())
+    return normalize_each([raw])[0]
 
 
 def _class_counts(

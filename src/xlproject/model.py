@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FeatureBlock, FeatureVector
-from .metrics import Attributions
+from .metrics import Attributions, rows_by_length
 
 
 @dataclass
@@ -261,9 +261,14 @@ def predict_binary(word_logits: list[np.ndarray] | np.ndarray) -> list[int]:
     return np.argmax(np.asarray(word_logits), axis=-1).tolist()
 
 
+def numeric_attributions(word_logits: np.ndarray, lengths: list[int]) -> list[list[float]]:
+    """:func:`numeric_from_logits` of sentences whose (L, 2) logits follow one another."""
+    return rows_by_length(word_logits[:, 1], lengths, softmax)
+
+
 def numeric_from_logits(word_logits: list[np.ndarray] | np.ndarray) -> Attributions:
     """Softmax across words of the trigger-class logits; sums to one per sentence."""
     arr = np.asarray(word_logits, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] != 2:
         raise ValueError(f"expected shape (L, 2) logits, got {arr.shape}")
-    return Attributions(values=softmax(arr[:, 1]).tolist())
+    return Attributions(values=numeric_attributions(arr, [len(arr)])[0])

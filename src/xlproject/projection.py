@@ -81,6 +81,7 @@ class Projected:
     # Target-side spans in positional order, marker_index preserved from the
     # source so switched corpora can match spans across the language pair.
     spans: list[TriggerSpan] = field(default_factory=list)
+    source_spans: list[TriggerSpan] = field(default_factory=list)
 
 
 @dataclass
@@ -194,6 +195,7 @@ def project_labels(
     translated_text: str,
     scheme: MarkerScheme,
     target_lang: str,
+    source_spans: list[TriggerSpan] | None = None,
 ) -> ProjectionOutcome:
     """Build a pseudo-labelled target sentence from a marked translation.
 
@@ -201,8 +203,10 @@ def project_labels(
     text, not from searching for the span words, so repeated words cannot
     mislabel tokens. A source without a trigger mask is treated as one with
     no spans, and its projection keeps ``trigger_mask=None``.
+    ``source_spans``, as :func:`mark_sentence` found them, default to its mask's.
     """
-    source_spans = spans_from_mask(source.trigger_mask or [])
+    if source_spans is None:
+        source_spans = spans_from_mask(source.trigger_mask or [])
     parsed = _parse_marked(translated_text, [s.marker_index for s in source_spans], scheme)
     if isinstance(parsed, Discarded):
         return parsed
@@ -217,6 +221,7 @@ def project_labels(
             trigger_mask=None if source.trigger_mask is None else mask,
         ),
         spans=spans,
+        source_spans=source_spans,
     )
 
 
@@ -255,7 +260,7 @@ def project_corpus(
     """
     from .translate import translate_batch
 
-    kept: list[AnnotatedSentence] = []
+    kept: list[tuple[AnnotatedSentence, list[TriggerSpan]]] = []
     texts: list[str] = []
     discards: list[DiscardRecord] = []
     for sent in corpus.sentences:
@@ -263,7 +268,7 @@ def project_corpus(
         if isinstance(result, Discarded):
             discards.append(DiscardRecord(sent.id, result.reason, ""))
             continue
-        kept.append(sent)
+        kept.append((sent, result.spans))
         texts.append(result.text)
 
     translations = (
@@ -274,8 +279,8 @@ def project_corpus(
 
     projected_sentences: list[AnnotatedSentence] = []
     alignments: list[tuple[AnnotatedSentence, Projected]] = []
-    for sent, translated in zip(kept, translations):
-        outcome = project_labels(sent, translated, scheme, tgt)
+    for (sent, spans), translated in zip(kept, translations):
+        outcome = project_labels(sent, translated, scheme, tgt, spans)
         if isinstance(outcome, Discarded):
             discards.append(DiscardRecord(sent.id, outcome.reason, translated))
             continue

@@ -17,7 +17,7 @@ from .model import (
     LoraAdapter,
     forward,
     loss_and_grads,
-    numeric_from_logits,
+    numeric_attributions,
     predict_binary,
     restrict,
 )
@@ -115,9 +115,10 @@ class TrainedModel:
                 for s, label in zip(corpus.sentences, predict_binary(logits))
             ]
         masks = _per_sentence(predict_binary(logits), corpus)
+        numeric = numeric_attributions(logits, [len(s.tokens) for s in corpus.sentences])
         return [
-            {"id": s.id, "mask": mask, "numeric": numeric_from_logits(rows).values}
-            for s, mask, rows in zip(corpus.sentences, masks, _per_sentence(logits, corpus))
+            {"id": s.id, "mask": mask, "numeric": values}
+            for s, mask, values in zip(corpus.sentences, masks, numeric)
         ]
 
 

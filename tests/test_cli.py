@@ -701,6 +701,47 @@ class TestEvaluatePredictionsFile:
         assert "line 1: expected an object with a string 'id'" in capsys.readouterr().err
 
 
+class TestMalformedInputs:
+    @pytest.mark.parametrize("content", [b"mt: [unclosed\n", b"mt:\n  backend: \xff\xfe\n"],
+                             ids=["not-yaml", "not-utf8"])
+    def test_config_is_a_configuration_error_naming_it(self, tmp_path, capsys, content):
+        save_corpus(synthetic_corpus(2, seed=1), tmp_path / "ds.jsonl")
+        config = tmp_path / "conf.yaml"
+        config.write_bytes(content)
+        assert main(["stats", "--input", str(tmp_path / "ds.jsonl"), "--config", str(config)]) == (
+            EXIT_CONFIG)
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {config}: ") and "Traceback" not in err
+
+    def test_config_loads_like_the_safe_loader(self, tmp_path):
+        text = "mt:\n  backend: mock\n  parallelism: 2\n  mock_dictionary: {a: b, 'yes': no}\n"
+        (tmp_path / "conf.yaml").write_text(text)
+        assert cli.load_config_file(str(tmp_path / "conf.yaml")) == yaml.safe_load(text)
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("mask", [True, 0, 0], "field 'mask' must be a list of 0/1 integers"),
+        ("bilingual", "false", "field 'bilingual' must be true or false"),
+    ])
+    @pytest.mark.parametrize("command", ["stats", "evaluate"])
+    def test_corpus_value_is_a_data_error_naming_file_and_line(
+        self, tmp_path, capsys, field, value, problem, command
+    ):
+        path = tmp_path / "gold.jsonl"
+        good = {"id": "a", "lang": "en", "tokens": ["x", "y", "z"], "emotion": "Joy",
+                "origin": "D_S"}
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "b", field: value})
+                        + "\n")
+        (tmp_path / "pred.jsonl").write_text(
+            '{"id": "a", "emotion": "Joy"}\n{"id": "b", "emotion": "Joy"}\n')
+        argv = {"stats": ["stats", "--input", str(path)],
+                "evaluate": ["evaluate", "--gold", str(path), "--predictions",
+                             str(tmp_path / "pred.jsonl"), "--output", str(tmp_path / "r.json")]}
+        assert main(argv[command]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"data error: {path}: {problem} at line 2\n"
+        assert not (tmp_path / "r.json").exists()
+
+
 def run_pipeline(root, seed=7):
     """Drive split -> project -> switch -> combine -> train -> predict -> evaluate."""
     root.mkdir(parents=True, exist_ok=True)

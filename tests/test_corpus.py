@@ -1,5 +1,7 @@
+import copy
 import json
 import sys
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,13 @@ from hypothesis import strategies as st
 
 from xlproject.corpus import (
     _WHITESPACE,
+    LANGUAGES,
     AnnotatedSentence,
     Corpus,
     CorpusFormatError,
     DatasetTag,
     EmotionLabel,
+    _sentence_from_record,
     label_distribution,
     load_corpus,
     save_corpus,
@@ -245,3 +249,188 @@ class TestLabelDistribution:
         corpus = Corpus(sentences=[make_sentence(0, emotion=None)])
         with pytest.raises(ValueError, match="s0"):
             label_distribution(corpus)
+
+
+# ---------------------------------------------------------------------------
+# the whole-record checks against a reference that checks one value at a time
+
+
+def reference_sentence(record):
+    """A record's sentence, checked one token and one mask value at a time in
+    the loader's order; kept here, independent of the whole-record checks."""
+    if not isinstance(record, dict):
+        raise CorpusFormatError("record is not an object")
+    unknown = set(record) - {"id", "lang", "tokens", "emotion", "mask", "origin", "bilingual"}
+    if unknown:
+        raise CorpusFormatError(f"unknown field {sorted(unknown)[0]!r}")
+    for req in ("id", "lang", "tokens", "origin"):
+        if req not in record:
+            raise CorpusFormatError(f"missing field {req!r}")
+    tokens = record["tokens"]
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise CorpusFormatError("field 'tokens' must be a list of strings")
+    mask = record.get("mask")
+    if mask is not None and (not isinstance(mask, list) or any(type(v) is not int for v in mask)):
+        raise CorpusFormatError("field 'mask' must be a list of 0/1 integers")
+    bilingual = record.get("bilingual", False)
+    if bilingual is not True and bilingual is not False:
+        raise CorpusFormatError("field 'bilingual' must be true or false")
+    emotion = record.get("emotion")
+    sent = AnnotatedSentence(
+        id=unicodedata.normalize("NFC", str(record["id"])),
+        tokens=[unicodedata.normalize("NFC", t) for t in tokens],
+        language=str(record["lang"]),
+        origin=DatasetTag.from_string(str(record["origin"])),
+        emotion=None if emotion is None else EmotionLabel.from_string(emotion),
+        trigger_mask=mask,
+        bilingual=bilingual,
+    )
+    if not sent.id:
+        raise CorpusFormatError("empty id")
+    if not sent.tokens:
+        raise CorpusFormatError("tokens must be non-empty")
+    for tok in sent.tokens:
+        if not tok:
+            raise CorpusFormatError("empty token")
+        if any(ch.isspace() for ch in tok):
+            raise CorpusFormatError(f"token contains whitespace: {tok!r}")
+    if sent.language not in LANGUAGES:
+        raise CorpusFormatError(f"unknown language {sent.language!r}; expected one of {LANGUAGES}")
+    if mask is not None:
+        if len(mask) != len(sent.tokens):
+            raise CorpusFormatError("mask length mismatch")
+        if any(v not in (0, 1) for v in mask):
+            raise CorpusFormatError("mask values must be 0 or 1")
+    if sent.origin is DatasetTag.D_S and sent.language != "en":
+        raise CorpusFormatError("D_S sentences must have language 'en'")
+    if sent.origin is DatasetTag.D_T and sent.language == "en":
+        raise CorpusFormatError("D_T sentences must have a non-English language")
+    return sent
+
+
+# Pieces of tokens: plain letters, composed and decomposed accents, bare
+# combining marks (so a token can start with one), Hangul jamo that compose
+# across a token boundary if nothing separates them, characters NFC changes
+# (the angstrom sign, a singleton), and NUL; then ASCII and Unicode whitespace.
+PIECES = ["a", "Zz", "\u00e9", "e\u0301", "\u0301", "\u0323\u0307", "\u1100", "\u1161",
+          "\u11a8", "\uac00", "\u212b", "\u0344", "\ufb01", "\0", "\u200b"]
+SPACES = [" ", "\t", "\n", "\x1c", "\u00a0", "\u2009", "\u3000"]
+MASK_VALUES = [0, 1, True, False, 0.0, 1.0, -0.0, 2, -1, "1", None]
+
+# Each fault breaks one field of a valid record.
+FAULTS = {
+    "tokens-not-a-list": lambda r, draw: r.update(tokens=draw(st.sampled_from(["a b", None, {}]))),
+    "token-not-a-string": lambda r, draw: r["tokens"].insert(
+        draw(st.integers(0, len(r["tokens"]))), draw(st.sampled_from([1, None, 1.5, ["a"]]))),
+    "no-tokens": lambda r, draw: r.update(tokens=[], mask=[]),
+    "mask-value": lambda r, draw: r.update(mask=draw(st.lists(
+        st.sampled_from(MASK_VALUES), min_size=len(r["tokens"]), max_size=len(r["tokens"])))),
+    "mask-out-of-range": lambda r, draw: r.update(
+        mask=[draw(st.sampled_from([2, -1]))] + r["mask"][1:] if r["mask"] else r["mask"]),
+    "mask-length": lambda r, draw: r.update(mask=r["mask"] + [draw(st.sampled_from([0, 1, True]))]),
+    "mask-not-a-list": lambda r, draw: r.update(mask=draw(st.sampled_from(["01", {"0": 1}, 1]))),
+    "bilingual": lambda r, draw: r.update(bilingual=draw(st.sampled_from(["false", 0, 1, None]))),
+    "emotion": lambda r, draw: r.update(emotion=draw(st.sampled_from(["joy", 3, ["Joy"]]))),
+    "origin": lambda r, draw: r.update(origin=draw(st.sampled_from(["bogus", "D_T"]))),
+    "lang": lambda r, draw: r.update(lang=draw(st.sampled_from(["xx", "es", 5]))),
+    "id": lambda r, draw: r.update(id=draw(st.sampled_from(["", 7]))),
+    "extra-field": lambda r, draw: r.update(extra=1),
+    "missing-field": lambda r, draw: r.pop(
+        draw(st.sampled_from(["id", "lang", "tokens", "origin"])), None),
+}
+
+
+@st.composite
+def records(draw):
+    """Valid records with up to two faults, and tokens that now and then hold whitespace."""
+    token = st.lists(st.sampled_from(PIECES), min_size=1, max_size=4).map("".join)
+    risky = st.lists(st.sampled_from(PIECES + SPACES), max_size=3).map("".join)
+    tokens = draw(st.lists(st.one_of(token, token, token, risky), min_size=1, max_size=6))
+    record = {"id": draw(st.sampled_from(["s1", "e\u0301"])), "lang": "en", "tokens": tokens,
+              "origin": "D_S"}
+    if draw(st.booleans()):
+        record["mask"] = draw(st.lists(st.integers(0, 1), min_size=len(tokens), max_size=len(tokens)))
+    if draw(st.booleans()):
+        record["emotion"] = draw(st.sampled_from(["Joy", None]))
+    if draw(st.booleans()):
+        record["bilingual"] = draw(st.booleans())
+    for fault in draw(st.lists(st.sampled_from(sorted(FAULTS)), max_size=2)):
+        if fault.startswith("mask") and not isinstance(record.get("mask"), list):
+            record["mask"] = [0] * len(tokens)
+        if "tokens" in record and isinstance(record["tokens"], list):
+            FAULTS[fault](record, draw)
+    return record
+
+
+def _outcome(check, record):
+    try:
+        return "ok", check(copy.deepcopy(record))
+    except CorpusFormatError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(record=records())
+def test_record_checks_agree_with_a_per_token_reference(record):
+    assert _outcome(_sentence_from_record, record) == _outcome(reference_sentence, record)
+
+
+@pytest.mark.parametrize("tokens", [["e", "\u0301"], ["\u1100", "\u1161"], ["a\0b", "c"],
+                                    ["\u212b"], ["x\u0307\u0323"]],
+                         ids=["combining-initial", "jamo", "nul", "angstrom", "reordered"])
+def test_nfc_of_the_joined_tokens_is_per_token(tokens):
+    record = {"id": "a", "lang": "en", "tokens": tokens, "origin": "D_S"}
+    want = [unicodedata.normalize("NFC", t) for t in tokens]
+    assert _sentence_from_record(record).tokens == want == reference_sentence(record).tokens
+
+
+class TestRecordValueTypes:
+    @pytest.mark.parametrize("field, value, problem", [
+        ("mask", [True, 0, 0], "field 'mask' must be a list of 0/1 integers"),
+        ("mask", [0, 1.0, 0], "field 'mask' must be a list of 0/1 integers"),
+        ("mask", [0, 2, 0], "mask values must be 0 or 1"),
+        ("mask", [0, 1], "mask length mismatch"),
+        ("bilingual", "false", "field 'bilingual' must be true or false"),
+        ("bilingual", 0, "field 'bilingual' must be true or false"),
+        ("bilingual", None, "field 'bilingual' must be true or false"),
+    ])
+    def test_rejected_naming_file_and_line(self, tmp_path, field, value, problem):
+        path = tmp_path / "c.jsonl"
+        good = {"id": "a", "lang": "en", "tokens": ["x", "y", "z"], "origin": "D_S"}
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "b", field: value}) + "\n")
+        with pytest.raises(CorpusFormatError) as info:
+            load_corpus(path)
+        assert str(info.value) == f"{path}: {problem} at line 2"
+
+    @pytest.mark.parametrize("bilingual", [True, False])
+    def test_boolean_bilingual_round_trips(self, tmp_path, bilingual):
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({"id": "a", "lang": "en", "tokens": ["x"], "origin": "D_S",
+                                    "bilingual": bilingual}) + "\n")
+        corpus = load_corpus(path)
+        assert corpus.sentences[0].bilingual is bilingual
+        save_corpus(corpus, tmp_path / "again.jsonl")
+        assert load_corpus(tmp_path / "again.jsonl") == corpus
+
+    def test_emotion_that_is_not_a_string_is_a_format_error(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "a", "lang": "en", "tokens": ["x"], "origin": "D_S", '
+                        '"emotion": ["Joy"]}\n')
+        with pytest.raises(CorpusFormatError, match="unknown emotion label"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("value, want", [("true", True), ("false", False), ("yes", None)])
+    def test_tsv_bilingual_is_true_or_false(self, tmp_path, value, want):
+        path = tmp_path / "c.tsv"
+        path.write_text(f"# id=a lang=en origin=D_S\nx\n\n# id=b lang=en origin=D_S bilingual={value}\ny\n")
+        if want is None:
+            with pytest.raises(CorpusFormatError, match="'bilingual' must be true or false at line 4"):
+                load_corpus(path, format="tsv")
+        else:
+            assert [s.bilingual for s in load_corpus(path, format="tsv")] == [False, want]
+
+    def test_unknown_origin_in_tsv_names_its_header_line(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text("# id=a lang=en origin=D_S\nx\n\n# id=b lang=en origin=D_X\ny\n")
+        with pytest.raises(CorpusFormatError, match="unknown origin tag 'D_X'.* at line 4"):
+            load_corpus(path, format="tsv")

@@ -16,6 +16,7 @@ from xlproject.metrics import (
     instance_token_f1,
     macro_f1,
     normalize_attributions,
+    normalize_each,
 )
 
 # ---------------------------------------------------------------------------
@@ -165,6 +166,28 @@ class TestNormalizeAttributions:
         values = normalize_attributions(raw).values
         assert all(v >= 0 for v in values)
         assert sum(values) == pytest.approx(1.0, abs=1e-9)
+
+    def test_grouped_bit_equal_to_per_sentence_numpy(self):
+        # Lengths 1..300 cross numpy's 8- and 128-element summation blocks.
+        rng = np.random.default_rng(12)
+        lengths = list(range(1, 301)) + rng.integers(1, 301, size=300).tolist()
+        raws = [(rng.normal(size=n) * rng.choice([1e-300, 1e-3, 1.0, 1e300])).tolist()
+                for n in lengths]
+        raws += [[-1.0] * n for n in (1, 7, 8, 9, 128, 129)]  # all negative: uniform
+        raws += [[0.0] * n for n in (1, 2, 200)] + [[-0.0, 0.0, 3, -2]]  # zeros and integers
+        for raw, got in zip(raws, normalize_each(raws)):
+            clamped = np.clip(np.asarray(raw, dtype=np.float64), 0.0, None)
+            total = clamped.sum()
+            want = clamped / total if total > 0.0 else np.full(len(raw), 1.0 / len(raw))
+            assert np.array_equal(got.values, want.tolist())
+            assert np.array_equal(got.values, normalize_attributions(raw).values)
+
+    @pytest.mark.parametrize("raws, problem", [([[1.0], []], "non-empty"),
+                                               ([[1.0, float("nan")]], "finite"),
+                                               ([[float("inf")]], "finite")])
+    def test_grouped_rejects_what_one_sentence_rejects(self, raws, problem):
+        with pytest.raises(ValueError, match=problem):
+            normalize_each(raws)
 
 
 class TestAccumulatedImportance:

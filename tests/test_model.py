@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xlproject
 from xlproject.features import FeatureBlock, FeatureVector, HashedNgramFeaturizer
 from xlproject.model import (
     LinearModel,
@@ -14,6 +19,7 @@ from xlproject.model import (
     first_subtoken_aggregate,
     forward,
     loss_and_grads,
+    numeric_attributions,
     numeric_from_logits,
     predict_binary,
     softmax,
@@ -359,6 +365,35 @@ class TestAggregationAndHeads:
             assert abs(values.sum() - 1.0) < 1e-12
             assert np.all(values > 0)
             assert int(np.argmax(values)) == int(np.argmax(logits[:, 1]))
+
+    def test_grouped_numeric_bit_equal_to_per_sentence_softmax(self):
+        # Lengths 1..300 cross numpy's 8- and 128-element summation blocks.
+        rng = np.random.default_rng(11)
+        lengths = list(range(1, 301)) + rng.integers(1, 301, size=300).tolist()
+        logits = rng.normal(size=(sum(lengths), 2)) * rng.choice([1e-3, 1.0, 40.0], size=(1, 2))
+        end = sum(lengths)
+        logits[end - lengths[-1]:end, 1] = -rng.uniform(1, 800, size=lengths[-1])  # all negative
+        got = numeric_attributions(logits, lengths)
+        start = 0
+        for length, values in zip(lengths, got):
+            scores = logits[start:start + length, 1]  # one sentence, as a 1-D strided view
+            start += length
+            assert np.array_equal(values, softmax(scores).tolist())
+            assert np.array_equal(values, numeric_from_logits(logits[start - length:start]).values)
+
+
+def test_grouped_attributions_leave_numpy_ma_unimported():
+    # Plain np.unique imports numpy.ma, which costs about 1.3 MB of memory.
+    code = (
+        "import sys, numpy as np\n"
+        "from xlproject.metrics import normalize_each\n"
+        "from xlproject.model import numeric_attributions\n"
+        "numeric_attributions(np.zeros((6, 2)), [1, 2, 3])\n"
+        "normalize_each([[1.0], [0.5, -1.0], [2.0, 0.0, 1.0]])\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    src = str(Path(xlproject.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 def random_head(rng, classes, dim, rank):

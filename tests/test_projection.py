@@ -2,6 +2,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from xlproject import projection
+from xlproject.augment import make_aligned_pair
 from xlproject.corpus import AnnotatedSentence, Corpus, DatasetTag, EmotionLabel
 from xlproject.projection import (
     Discarded,
@@ -341,3 +343,19 @@ class TestProjectCorpus:
             (src.id, DiscardReason.MARKER_IN_SOURCE, "")
         ]
         assert backend.calls == 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(corpus=mixed_corpora())
+def test_project_finds_each_sentences_spans_once(corpus):
+    calls = []
+    original = projection.spans_from_mask
+    projection.spans_from_mask = lambda mask: calls.append(mask) or original(mask)
+    try:
+        report = project_corpus(corpus, SCHEME, IdentityBackend(), "en", "es")
+        pairs = [make_aligned_pair(src, projected) for src, projected in report.alignments]
+    finally:
+        projection.spans_from_mask = original
+    assert len(calls) == len(corpus)
+    assert [p.source_spans for p in pairs] == [
+        spans_from_mask(src.trigger_mask) for src, _ in report.alignments]
