@@ -2,7 +2,8 @@
 
 Drives the CLI commands end to end (split, project with the dictionary mock,
 switch, combine, train, predict, evaluate) inside a working directory, with
-no network access needed.
+no network access needed. Each command's wall time goes to stderr, so the
+files and the printed report stay the same from run to run.
 
 Example:
     python scripts/run_synthetic_pipeline.py --workdir runs/demo --n 300
@@ -10,6 +11,7 @@ Example:
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 import yaml
@@ -21,7 +23,9 @@ from xlproject.synthetic import mock_translation_table, synthetic_corpus
 
 
 def run(argv: list[str]) -> None:
+    start = time.perf_counter()
     code = cli(argv)
+    print(f"{argv[0]}: {time.perf_counter() - start:.3f} s", file=sys.stderr)
     if code != 0:
         sys.exit(code)
 

@@ -53,6 +53,7 @@ from .training import (
     TrainConfig,
     TrainConfigError,
     load_model,
+    num_classes,
     save_model,
     train,
 )
@@ -382,6 +383,13 @@ def cmd_train(args, config) -> None:
         weight_decay=args.weight_decay,
         feature_dim=args.feature_dim,
     )
+    train_config.validate()
+    classes = num_classes(args.task)
+    if lora is not None and lora.rank > classes:
+        # B A is (C x K): a rank above C reaches no weights that rank C cannot.
+        print(f"warning: --lora-r {lora.rank} exceeds the {classes} classes of the "
+              f"{args.task} head: ranks above {classes} add cost but no expressivity",
+              file=sys.stderr)
     try:
         trained = train(corpus, args.task, train_config, validation=validation)
     except MissingLabelsError as exc:

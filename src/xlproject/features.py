@@ -9,10 +9,11 @@ features over the whole sentence. All vectors are L2-normalized.
 A corpus is featurized in one call into a :class:`FeatureBlock`, a CSR
 matrix with one row per token (or per sentence). Within that call each
 distinct word's own features, and each word's context features, are hashed
-once; nothing is cached across calls.
+once; no feature is cached across calls.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
@@ -62,6 +63,16 @@ class FeatureBlock:
         values = np.concatenate([np.zeros(0)] + [x.values for x in rows])
         return cls(indptr, indices, values, dim)
 
+    def take(self, rows: np.ndarray) -> FeatureBlock:
+        """A block of these rows, in order; a row may repeat."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[rows]
+        sizes = self.indptr[rows + 1] - starts
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=indptr[1:])
+        entries = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], sizes)
+        return FeatureBlock(indptr, self.indices[entries], self.values[entries], self.dim)
+
     def compact(self) -> tuple[np.ndarray, FeatureBlock]:
         """The sorted feature columns the rows touch, and the block re-indexed
         onto ``0..K-1`` in that order."""
@@ -96,6 +107,14 @@ def _digests(prefix, features: Iterable[str]) -> bytearray:
         hasher.update(feature.encode("utf-8"))
         out += hasher.digest()
     return out
+
+
+@functools.lru_cache(maxsize=256)
+def _ngram_slices(length: int, ngram_min: int, ngram_max: int) -> tuple[slice, ...]:
+    """The slices of every n-gram of a string of this length, shortest n first."""
+    return tuple(
+        slice(j, j + n) for n in range(ngram_min, ngram_max + 1) for j in range(length - n + 1)
+    )
 
 
 def _columns(digests: bytearray, dim: int) -> np.ndarray:
@@ -150,11 +169,9 @@ class HashedNgramFeaturizer:
 
     def _word_features(self, word: str) -> list[str]:
         """The features a token has by itself: the word and its padded n-grams."""
-        feats = [f"w={word}"]
         padded = f"^{word}$"
-        for n in range(self.ngram_min, self.ngram_max + 1):
-            feats.extend(padded[j:j + n] for j in range(len(padded) - n + 1))
-        return feats
+        slices = _ngram_slices(len(padded), self.ngram_min, self.ngram_max)
+        return [f"w={word}", *map(padded.__getitem__, slices)]
 
     def _memo(self, vocab: Collection[str]) -> _WordColumns:
         """Hash each word's own features, and each word as context, once."""

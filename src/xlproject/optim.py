@@ -29,12 +29,20 @@ class AdamWState:
 def adamw_step(
     state: AdamWState,
     params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]],
     lr: float,
     weight_decay: float = 0.0,
 ) -> tuple[dict[str, np.ndarray], AdamWState]:
     """One update: moment updates, bias correction, then
     theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta).
+
+    A gradient is an array shaped like its parameter, or a pair ``(cols,
+    values)`` of unique last-axis indices and the gradient there, shaped
+    ``param.shape[:-1] + (len(cols),)``; every other column's gradient is zero.
+    A parameter may be narrower than its state along the last axis: the step
+    then runs on the state's leading columns and leaves the others as they
+    are, which is exact when their weights and moments are zero, a fixed
+    point of AdamW.
 
     Weight decay acts on the parameters directly, never through the moments.
     The state's moments are updated in place, and its scratch arrays reused;
@@ -43,25 +51,32 @@ def adamw_step(
     """
     if set(params) != set(grads):
         raise ValueError(f"param/grad keys differ: {sorted(params)} vs {sorted(grads)}")
+    columns = {}  # key -> (cols, values); a dense gradient covers every column
     for key, grad in grads.items():
-        if not np.all(np.isfinite(grad)):
+        cols, values = grad if isinstance(grad, tuple) else (slice(None), grad)
+        if not np.isfinite(values).all():
             raise ValueError(f"non-finite gradient for {key!r}")
+        columns[key] = cols, values
     state.step += 1
     t = state.step
     bias1 = 1.0 - state.beta1**t
     bias2 = 1.0 - state.beta2**t
     updated: dict[str, np.ndarray] = {}
     for key, theta in params.items():
-        grad, m, v = grads[key], state.m[key], state.v[key]
-        scratch = state.scratch[key]
-        # The moments update in place, each term rounded as in
-        # beta * m + (1 - beta) * grad (* grad).
+        cols, values = columns[key]
+        width = theta.shape[-1]
+        m, v, scratch = (arrays[key][..., :width] for arrays in (state.m, state.v, state.scratch))
+        # The moments decay in place, then take the gradient terms at their
+        # columns, each term rounded as in beta * m + (1 - beta) * grad (* grad).
+        # Elsewhere the dense form would add +0.0, which changes nothing:
+        # beta * m is never -0.0, since both moments start at +0.0, a sum is
+        # -0.0 only when both terms are, and the v term is never negative.
         m *= state.beta1
-        m += np.multiply(1.0 - state.beta1, grad, out=scratch)
+        m[..., cols] += np.multiply(1.0 - state.beta1, values)
         v *= state.beta2
-        np.multiply(1.0 - state.beta2, grad, out=scratch)
-        scratch *= grad
-        v += scratch
+        term = np.multiply(1.0 - state.beta2, values)
+        term *= values
+        v[..., cols] += term
         denom = np.divide(v, bias2, out=scratch)
         np.sqrt(denom, out=denom)
         denom += state.eps

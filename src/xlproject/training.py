@@ -139,6 +139,11 @@ def _check_labels(corpus: Corpus, task: str, role: str) -> None:
         raise MissingLabelsError(role, label, missing)
 
 
+def num_classes(task: str) -> int:
+    """The classes of a task's head: the emotions, or trigger and not."""
+    return len(EMOTION_ORDER) if task == "emotion" else 2
+
+
 def _featurize(featurizer: HashedNgramFeaturizer, task: str, corpus: Corpus) -> FeatureBlock:
     """One row per sentence for emotion, one per token for triggers."""
     return featurizer.featurize([s.tokens for s in corpus.sentences], pooled=task == "emotion")
@@ -198,7 +203,7 @@ def train(
         _check_labels(validation, task, "validation")
 
     featurizer = HashedNgramFeaturizer(dim=config.feature_dim, salt=config.feature_salt)
-    num_classes = len(EMOTION_ORDER) if task == "emotion" else 2
+    classes = num_classes(task)
     rng = np.random.default_rng(config.seed)
 
     # Both corpora are featurized once, up front, onto the touched columns.
@@ -206,10 +211,20 @@ def train(
     labels = np.array(_labels(task, corpus))
     if validation is not None:
         validation_block = _featurize(featurizer, task, validation).select(cols)
-    model = LinearModel.zeros(num_classes, len(cols))
     adapter = None if config.lora is None else LoraAdapter.init(
-        num_classes, len(cols), rank=config.lora.rank, alpha=config.lora.alpha, rng=rng
+        classes, len(cols), rank=config.lora.rank, alpha=config.lora.alpha, rng=rng
     )
+    # W0 or A keeps column k of ``cols`` at place ``slot[k]``, and holds the
+    # ``live`` places filled so far. The plain head places a column when a
+    # batch first touches it: until then its weight and moments are zero, a
+    # fixed point of AdamW, weight decay included, so each step runs on the
+    # live places only. The adapter's A starts random, so it places every
+    # column up front, in order.
+    if adapter is None:
+        slot, live = np.full(len(cols), -1, dtype=np.int64), 0
+    else:
+        slot, live = np.arange(len(cols)), len(cols)
+    model = LinearModel.zeros(classes, live)
     trained = TrainedModel(featurizer=featurizer, model=model, adapter=adapter, task=task,
                            config=config, cols=cols)
 
@@ -226,11 +241,9 @@ def train(
         else:
             model.W0 = params["W0"]
 
-    state = AdamWState.init(current_params())
-    # The gradient of W0 (or A): each step writes its batch's columns and
-    # zeroes them again after the update.
-    wide = "A" if adapter is not None else "W0"
-    wide_grad = np.zeros_like(current_params()[wide])
+    # The parameter with a place per column; its state has room for every column.
+    wide, height = ("A", adapter.rank) if adapter is not None else ("W0", classes)
+    state = AdamWState.init({**current_params(), wide: np.zeros((height, len(cols)))})
     steps_per_epoch = (len(labels) + config.batch_size - 1) // config.batch_size
     total_steps = steps_per_epoch * config.epochs
     best_score = -1.0
@@ -241,32 +254,38 @@ def train(
         epoch_loss = 0.0
         for start in range(0, len(labels), config.batch_size):
             rows = order[start:start + config.batch_size]
-            batch = FeatureBlock.stack([block.row(i) for i in rows], block.dim)
-            batch_cols, batch = batch.compact()
-            loss, grads = loss_and_grads(
-                *restrict(model, adapter, batch_cols), batch, labels[rows]
-            )
-            wide_grad[:, batch_cols] = grads[wide]
-            grads[wide] = wide_grad
+            batch_cols, batch = block.take(rows).compact()
+            fresh = batch_cols[slot[batch_cols] < 0]
+            if len(fresh):  # first touches, plain head only: new zero columns
+                slot[fresh] = np.arange(live, live + len(fresh))
+                live += len(fresh)
+                model.W0 = np.concatenate((model.W0, np.zeros((classes, len(fresh)))), axis=1)
+            # The batch keeps its column order, so its sums are the same at any places.
+            places = slot[batch_cols]
+            loss, grads = loss_and_grads(*restrict(model, adapter, places), batch, labels[rows])
+            grads[wide] = (places, grads[wide])
             epoch_loss += loss * len(rows)
             lr = config.lr
             if config.schedule == "linear":
                 lr = config.lr * (1.0 - step / total_steps)
-            params, state = adamw_step(state, current_params(), grads, lr, config.weight_decay)
-            apply_params(params)
-            wide_grad[:, batch_cols] = 0.0
+            apply_params(adamw_step(state, current_params(), grads, lr, config.weight_decay)[0])
             step += 1
         record = {"epoch": epoch, "train_loss": epoch_loss / len(labels)}
         if validation is not None:
-            score = _validation_score(task, validation, forward(model, adapter, validation_block))
+            # Every column is live after an epoch; each row keeps its entry order.
+            placed = FeatureBlock(validation_block.indptr, slot[validation_block.indices],
+                                  validation_block.values, len(cols))
+            score = _validation_score(task, validation, forward(model, adapter, placed))
             record["validation_score"] = score
             if score > best_score:
                 best_score = score
                 best_params = {k: p.copy() for k, p in current_params().items()}
         trained.history.append(record)
 
+    del state  # the moments go before the gather below allocates another W0
     if best_params is not None:
         apply_params(best_params)
+    model.W0 = np.take(model.W0, slot, axis=1)  # back to the order of cols
     return trained
 
 

@@ -274,6 +274,25 @@ class TestCommands:
         assert f"configuration error: {problem} must be from" in capsys.readouterr().err
         assert not (tmp_path / "m.npz").exists()
 
+    @pytest.mark.parametrize("task, rank, warns", [
+        ("trigger", 2, False), ("trigger", 3, True), ("emotion", 6, False), ("emotion", 7, True),
+    ])
+    def test_train_warns_when_the_rank_exceeds_the_classes(self, tmp_path, capsys, task, rank,
+                                                           warns):
+        save_corpus(synthetic_corpus(10, seed=2), tmp_path / "c.jsonl")
+        code = main([
+            "train", "--input", str(tmp_path / "c.jsonl"), "--task", task, "--epochs", "1",
+            "--lora-r", str(rank), "--feature-dim", "1024", "--output", str(tmp_path / "m.npz"),
+        ])
+        assert code == 0
+        captured = capsys.readouterr()
+        classes = 6 if task == "emotion" else 2
+        assert captured.err == (
+            f"warning: --lora-r {rank} exceeds the {classes} classes of the {task} head: "
+            f"ranks above {classes} add cost but no expressivity\n" if warns else ""
+        )
+        assert load_model(tmp_path / "m.npz").adapter.rank == rank
+
     @pytest.mark.parametrize("task, field", [("emotion", "emotion"), ("trigger", "trigger_mask")])
     def test_train_rejects_unlabelled_validation(self, tmp_path, capsys, task, field):
         save_corpus(synthetic_corpus(10, seed=2), tmp_path / "c.jsonl")

@@ -1,4 +1,5 @@
 """The corpus-level feature block against a string-by-string reference."""
+import dataclasses
 import hashlib
 import random
 from math import sqrt
@@ -183,3 +184,25 @@ def test_stack_rebuilds_the_block_from_its_rows():
         assert np.array_equal(getattr(stacked, name), getattr(block, name))
     empty = FeatureBlock.stack([], 64)
     assert len(empty) == 0 and empty.indices.dtype == np.int64
+
+
+@settings(max_examples=150, deadline=None)
+@given(block=random_blocks(), data=st.data())
+def test_take_equals_stack_of_the_same_rows(block, data):
+    # Repeats allowed; random_blocks has empty rows, and the selection may be empty.
+    rows = data.draw(st.lists(st.integers(0, max(len(block) - 1, 0)), max_size=40)
+                     if len(block) else st.just([]))
+    taken = block.take(np.array(rows, dtype=np.int64))
+    stacked = FeatureBlock.stack([block.row(r) for r in rows], block.dim)
+    assert taken.dim == stacked.dim
+    for name in ("indptr", "indices", "values"):
+        got, want = getattr(taken, name), getattr(stacked, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ngrams", [(1, 1), (2, 4), (3, 5), (6, 8)])
+def test_word_features_are_the_padded_ngrams(ngrams):
+    featurizer = HashedNgramFeaturizer(dim=8, ngram_min=ngrams[0], ngram_max=ngrams[1])
+    for word in ["a", "ab", "cat", "naïve", "日本語", "morning", "zqglowzqglow"]:
+        want = reference_raw_features(dataclasses.replace(featurizer, window=0), [word], 0)
+        assert featurizer._word_features(word) == want

@@ -262,6 +262,66 @@ class TestAdamW:
                 assert state.m[key] is moments[key]  # updated in place
                 assert given[key].tobytes() == copies[key].tobytes()  # left as given
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_column_gradient_equals_the_dense_one(self, weight_decay):
+        rng = np.random.default_rng(19)
+        tiny = np.finfo(float).smallest_subnormal
+        params = {"W0": rng.normal(size=(3, 40)), "b": rng.normal(size=3)}
+        params["W0"][:, :4] = [[-0.0, 0.0, tiny, -tiny]] * 3
+        sparse_state, dense_state = AdamWState.init(params), AdamWState.init(params)
+        moments = {key: (sparse_state.m[key], sparse_state.v[key]) for key in params}
+        sparse = dense = params
+        for step in range(20):
+            cols = rng.choice(40, size=7, replace=False)
+            values = rng.normal(size=(3, 7))
+            values[0, :4] = [-0.0, 0.0, tiny, -tiny]
+            values[1, 0] = 1e-300 if step % 2 else -1e-300  # squares underflow to zero
+            wide = np.zeros((3, 40))
+            wide[:, cols] = values
+            bias = rng.normal(size=3)
+            sparse, sparse_state = adamw_step(
+                sparse_state, sparse, {"W0": (cols, values), "b": bias}, 2e-4, weight_decay
+            )
+            dense, dense_state = adamw_step(
+                dense_state, dense, {"W0": wide, "b": bias}, 2e-4, weight_decay
+            )
+            for key in params:
+                assert sparse[key].tobytes() == dense[key].tobytes()
+                assert sparse_state.m[key].tobytes() == dense_state.m[key].tobytes()
+                assert sparse_state.v[key].tobytes() == dense_state.v[key].tobytes()
+                assert (sparse_state.m[key], sparse_state.v[key]) == moments[key]  # in place
+        assert sparse_state.step == dense_state.step == 20
+
+    def test_narrower_param_steps_the_states_leading_columns(self):
+        rng = np.random.default_rng(23)
+        wide = AdamWState.init({"w": np.zeros((2, 30))})
+        narrow = AdamWState.init({"w": np.zeros((2, 12))})
+        params = rng.normal(size=(2, 12))
+        want = params
+        for _ in range(5):
+            cols = rng.choice(12, size=4, replace=False)
+            values = rng.normal(size=(2, 4))
+            got, wide = adamw_step(wide, {"w": params}, {"w": (cols, values)}, lr=0.1,
+                                   weight_decay=0.01)
+            want, narrow = adamw_step(narrow, {"w": want}, {"w": (cols, values)}, lr=0.1,
+                                      weight_decay=0.01)
+            params = got["w"]
+            assert params.tobytes() == want["w"].tobytes()
+            want = want["w"]
+        assert wide.m["w"][:, :12].tobytes() == narrow.m["w"].tobytes()
+        assert wide.v["w"][:, :12].tobytes() == narrow.v["w"].tobytes()
+        assert not wide.m["w"][:, 12:].any() and not wide.v["w"][:, 12:].any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_column_gradient_rejected(self, bad):
+        params = {"w": np.ones((2, 5))}
+        state = AdamWState.init(params)
+        values = np.ones((2, 2))
+        values[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite gradient for 'w'"):
+            adamw_step(state, params, {"w": (np.array([0, 3]), values)}, lr=0.1)
+        assert state.step == 0 and not state.m["w"].any()  # nothing was updated
+
     def test_hand_derived_first_step(self):
         # t=1: m_hat = 1, v_hat = 1 -> theta' = 1 - 0.1 / (1 + eps) ~ 0.9
         params = {"w": np.array([1.0])}

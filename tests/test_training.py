@@ -292,6 +292,27 @@ class TestTouchedColumnTraining:
             assert record["validation_score"] == want["validation_score"]
             assert abs(record["train_loss"] - want["train_loss"]) <= 1e-12 * want["train_loss"]
 
+    @pytest.mark.parametrize("task, seed", [("emotion", 51), ("trigger", 33)])
+    def test_best_epoch_zero_restored_in_column_order(self, task, seed):
+        # The plain head stores W0 in first-touch order; here the restored best
+        # parameters are epoch 0's, not the last step's, and are put back in
+        # the order of cols after training.
+        corpus = synthetic_corpus(24, seed=seed)
+        validation = synthetic_corpus(12, seed=seed + 100, id_prefix="v")
+        config = small_config(epochs=3, batch_size=8, weight_decay=0.01, feature_dim=2**11)
+        expected, touched = dense_reference_train(corpus, task, config, validation)
+        got = train(corpus, task, config, validation=validation)
+        scores = [record["validation_score"] for record in got.history]
+        assert scores[0] > max(scores[1:])
+        assert got.history == expected.history
+        assert np.array_equal(got.cols, touched)
+        dim = config.feature_dim
+        for value, want in zip(full_width_arrays(got, dim), full_width_arrays(expected, dim),
+                               strict=True):
+            assert value.tobytes() == want.tobytes()
+        last = train(corpus, task, config)  # no validation: the last epoch's parameters
+        assert not np.array_equal(last.model.W0, got.model.W0)
+
     @pytest.mark.parametrize("lora", [None, LoraConfig(rank=3, alpha=8.0)], ids=["plain", "lora"])
     def test_input_touching_no_trained_column_gives_bias_logits(self, lora):
         trained = train(synthetic_corpus(10, seed=23), "trigger", small_config(lora=lora))
