@@ -1,10 +1,11 @@
 """Command-line pipeline: split, project, switch, combine, train, predict, evaluate, parse-llm.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 translation
-backend error, 5 internal error. Every command that writes an output file
-then writes its ``<output>.provenance.json`` sidecar with
-:func:`write_provenance`: the command, a hash of its effective
-configuration, the seed, input file hashes, and the command's own keys.
+backend error, 5 internal error. Every command writes its outputs through
+:func:`write_outputs`, which creates each output's directory and writes the
+output's ``<output>.provenance.json`` sidecar: the command, a hash of its
+effective configuration, the seed, the hashes of its input files, taken once
+after the command has read them, and the command's own keys.
 """
 from __future__ import annotations
 
@@ -156,20 +157,21 @@ def file_sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def build_provenance(
-    command: str, settings: dict, inputs: list[Path], seed=None, digests: dict | None = None
-) -> dict:
-    """The provenance sidecar's record; ``digests`` holds input hashes already
-    computed, by path, and every other input is hashed here."""
+def build_provenance(command: str, settings: dict, inputs: list[Path], seed=None) -> dict:
+    """The provenance record of a command's outputs. Each input is hashed here,
+    once: call it after the command has read its inputs and before it writes."""
     canonical = json.dumps(settings, sort_keys=True, default=str)
-    digests = digests or {}
+    digests = {}
+    for path in inputs:
+        try:
+            digests[str(path)] = file_sha256(Path(path))
+        except OSError as exc:
+            raise DataError(f"{path}: cannot hash the input: {exc}") from None
     return {
         "command": command,
         "config_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
         "seed": seed,
-        "inputs": {
-            str(p): digests[p] if p in digests else file_sha256(Path(p)) for p in inputs
-        },
+        "inputs": digests,
     }
 
 
@@ -179,6 +181,27 @@ def write_provenance(output: str | Path, record: dict) -> None:
         json.dumps(record, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
         encoding="utf-8",
     )
+
+
+def write_outputs(provenance: dict, *outputs) -> None:
+    """Write each ``(path, write, sidecar_keys)`` output: create its directory,
+    call ``write(path)``, then write its sidecar of ``provenance`` plus
+    ``sidecar_keys`` (none if those are ``None``). Before anything is written, a
+    file to write that is an input or another file to write is a configuration error."""
+    claimed = {Path(path).resolve(): path for path in provenance["inputs"]}
+    for path, _, sidecar_keys in outputs:
+        written = [path] if sidecar_keys is None else [path, sidecar(path, "provenance.json")]
+        for name in written:
+            resolved = Path(name).resolve()
+            if resolved in claimed:
+                raise ConfigError(f"output {name} is the same file as {claimed[resolved]}")
+            claimed[resolved] = name
+    for path, write, sidecar_keys in outputs:
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write(path)
+        if sidecar_keys is not None:
+            write_provenance(path, {**sidecar_keys, **provenance})
 
 
 def read_provenance(path: str | Path) -> dict:
@@ -243,18 +266,16 @@ def cmd_split(args, config) -> None:
         "split_fraction": args.fraction,
         "split_stratified": False,
     }
-    provenance = build_provenance(
-        "split",
-        {"fraction": args.fraction, "seed": args.seed, "format": args.format},
-        [Path(args.input)],
-        seed=args.seed,
+    write_outputs(
+        build_provenance(
+            "split", {"fraction": args.fraction, "seed": args.seed, "format": args.format},
+            [Path(args.input)], seed=args.seed,
+        ),
+        (args.output_train, lambda p: save_corpus(train_corpus, p, format=args.format),
+         {**extra, "split_role": "train"}),
+        (args.output_validation, lambda p: save_corpus(val_corpus, p, format=args.format),
+         {**extra, "split_role": "validation"}),
     )
-    for corpus_out, path, role in (
-        (train_corpus, args.output_train, "train"),
-        (val_corpus, args.output_validation, "validation"),
-    ):
-        save_corpus(corpus_out, path, format=args.format)
-        write_provenance(path, {**extra, "split_role": role, **provenance})
     print(f"split {len(corpus)} -> {len(train_corpus)} train + {len(val_corpus)} validation")
 
 
@@ -296,19 +317,15 @@ def cmd_project(args, config) -> None:
         },
         [Path(args.input)],
     )
-    save_corpus(report.corpus, args.output, format=args.format)
-    extra = {"projected_from": args.src, "projected_to": args.tgt, "backend": backend.backend_id}
-    write_provenance(args.output, {**extra, **provenance})
-    write_jsonl(
-        (
-            {"id": d.id, "reason": d.reason.value, "translated_text": d.translated_text}
-            for d in report.discards
-        ),
-        sidecar(args.output, "discards.jsonl"),
-    )
-    save_pairs(
-        (make_aligned_pair(source, projected) for source, projected in report.alignments),
-        sidecar(args.output, "pairs.jsonl"),
+    discards = ({"id": d.id, "reason": d.reason.value, "translated_text": d.translated_text}
+                for d in report.discards)
+    pairs = (make_aligned_pair(source, projected) for source, projected in report.alignments)
+    write_outputs(
+        provenance,
+        (args.output, lambda p: save_corpus(report.corpus, p, format=args.format),
+         {"projected_from": args.src, "projected_to": args.tgt, "backend": backend.backend_id}),
+        (sidecar(args.output, "discards.jsonl"), lambda p: write_jsonl(discards, p), None),
+        (sidecar(args.output, "pairs.jsonl"), lambda p: save_pairs(pairs, p), None),
     )
     cache_use = (
         f"cache: {cache.hits} hits, {cache.misses} misses, {cache.torn_lines} torn lines skipped"
@@ -327,12 +344,15 @@ def cmd_switch(args, config) -> None:
     pairs_path = sidecar(args.target, "pairs.jsonl")
     pairs = load_pairs(pairs_path, source, target)
     st_corpus, ts_corpus = switch_corpus(pairs)
-    provenance = build_provenance(
-        "switch", {"format": args.format}, [Path(args.source), Path(args.target), pairs_path]
+    write_outputs(
+        build_provenance(
+            "switch", {"format": args.format}, [Path(args.source), Path(args.target), pairs_path]
+        ),
+        (args.output_st, lambda p: save_corpus(st_corpus, p, format=args.format),
+         {"augmentation": "trigger_switch"}),
+        (args.output_ts, lambda p: save_corpus(ts_corpus, p, format=args.format),
+         {"augmentation": "trigger_switch"}),
     )
-    for corpus_out, path in ((st_corpus, args.output_st), (ts_corpus, args.output_ts)):
-        save_corpus(corpus_out, path, format=args.format)
-        write_provenance(path, {"augmentation": "trigger_switch", **provenance})
     print(f"switched {len(pairs)} pairs")
 
 
@@ -357,11 +377,11 @@ def cmd_combine(args, config) -> None:
             inputs.append(Path(path))
         corpora[tag] = merged
     combined = build_dataset(spec, corpora)
-    save_corpus(combined, args.output, format=args.format)
-    provenance = build_provenance(
-        "combine", {"combine": str(spec), "format": args.format}, sorted(inputs)
+    write_outputs(
+        build_provenance("combine", {"combine": str(spec), "format": args.format}, sorted(inputs)),
+        (args.output, lambda p: save_corpus(combined, p, format=args.format),
+         {"combination": str(spec)}),
     )
-    write_provenance(args.output, {"combination": str(spec), **provenance})
     print(f"combined {str(spec)} -> {len(combined)} sentences")
 
 
@@ -395,42 +415,27 @@ def cmd_train(args, config) -> None:
     except MissingLabelsError as exc:
         path = args.validation if exc.role == "validation" else args.input
         raise DataError(f"{path}: {exc}") from exc
-    output = Path(args.output)
-    save_model(trained, output)
     inputs = [Path(args.input)] + ([Path(args.validation)] if args.validation else [])
-    write_provenance(
-        output,
+    write_outputs(
         build_provenance(
             "train",
             {"task": args.task, "config": str(train_config), "format": args.format},
             inputs,
             seed=args.seed,
         ),
+        (args.output, lambda p: save_model(trained, p), {}),
     )
     last = trained.history[-1] if trained.history else {}
     print(f"trained {args.task} model: {json.dumps(last)}")
 
 
 def cmd_predict(args, config) -> None:
-    model = Path(args.model)
-    trained = load_model(model)
-    try:
-        digests = {model: file_sha256(model)}
-    except OSError as exc:
-        raise DataError(f"{model}: cannot hash the checkpoint: {exc}") from None
+    trained = load_model(args.model)
     corpus = load_corpus(args.input, format=args.format)
+    provenance = build_provenance("predict", {"task": trained.task, "format": args.format},
+                                  [Path(args.model), Path(args.input)])
     records = trained.predict(corpus)
-    output = Path(args.output)
-    write_jsonl(records, output)
-    write_provenance(
-        output,
-        build_provenance(
-            "predict",
-            {"task": trained.task, "format": args.format},
-            [model, Path(args.input)],
-            digests=digests,
-        ),
-    )
+    write_outputs(provenance, (args.output, lambda p: write_jsonl(records, p), {}))
     print(f"predicted {len(records)} sentences ({trained.task})")
 
 
@@ -503,17 +508,14 @@ def cmd_evaluate(args, config) -> None:
     )
     if args.confusion_csv and report.confusion is None:
         raise ConfigError("--confusion-csv needs emotion predictions to evaluate")
-    output = Path(args.output)
-    output.parent.mkdir(parents=True, exist_ok=True)
-    output.write_text(
-        json.dumps(report.to_json_dict(), ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    report_text = json.dumps(report.to_json_dict(), ensure_ascii=False, indent=2) + "\n"
+    outputs = [(args.output, lambda p: p.write_text(report_text, encoding="utf-8"), {})]
     if args.confusion_csv:
-        Path(args.confusion_csv).write_text(report.confusion.to_csv(), encoding="utf-8")
-    write_provenance(
-        output,
+        outputs.append((args.confusion_csv,
+                        lambda p: p.write_text(report.confusion.to_csv(), encoding="utf-8"), None))
+    write_outputs(
         build_provenance("evaluate", {"format": args.format}, [Path(args.gold), predictions_path]),
+        *outputs,
     )
     print(json.dumps(report.to_json_dict()))
 
@@ -532,22 +534,17 @@ def cmd_parse_llm(args, config) -> None:
             sid, response = line.split("\t", 1)
             try:
                 label = parse_llm_response(response)
-                rows.append((sid, label.value))
+                rows.append(f"{sid}\t{label.value}\n")
             except LlmResponseError as exc:
                 errors.append({"id": sid, "error": str(exc), "text": response})
                 if args.fallback_neutral:
-                    rows.append((sid, EmotionLabel.NEUTRAL.value))
-    output = Path(args.output)
-    output.parent.mkdir(parents=True, exist_ok=True)
-    with open(output, "w", encoding="utf-8") as handle:
-        for sid, label in rows:
-            handle.write(f"{sid}\t{label}\n")
-    write_jsonl(errors, sidecar(output, "errors.jsonl"))
-    write_provenance(
-        output,
+                    rows.append(f"{sid}\t{EmotionLabel.NEUTRAL.value}\n")
+    write_outputs(
         build_provenance(
             "parse-llm", {"fallback_neutral": bool(args.fallback_neutral)}, [input_path]
         ),
+        (args.output, lambda p: p.write_text("".join(rows), encoding="utf-8"), {}),
+        (sidecar(args.output, "errors.jsonl"), lambda p: write_jsonl(errors, p), None),
     )
     print(f"parsed {len(rows)} labels ({len(errors)} errors)")
 

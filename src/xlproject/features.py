@@ -32,11 +32,6 @@ class FeatureVector:
     values: np.ndarray
     dim: int
 
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.dim)
-        dense[self.indices] = self.values
-        return dense
-
 
 @dataclass
 class FeatureBlock:

@@ -2,8 +2,7 @@
 
 The trainable core: a linear layer with softmax over classes, a low-rank
 adapter (frozen base weights, trainable factors A and B scaled by alpha/r),
-cross-entropy gradients, first-subtoken aggregation for word-level
-predictions, and the softmax-over-words numeric trigger head.
+cross-entropy gradients, and the softmax-over-words numeric trigger head.
 """
 from __future__ import annotations
 
@@ -19,10 +18,6 @@ from .metrics import Attributions, rows_by_length
 class LinearModel:
     W0: np.ndarray  # (C, F)
     b: np.ndarray  # (C,)
-
-    @property
-    def num_classes(self) -> int:
-        return self.W0.shape[0]
 
     @property
     def num_features(self) -> int:
@@ -210,47 +205,6 @@ def _block_loss_and_grads(
     grads["A"] = grad_a
     grads["B"] = np.stack([np.sum(adapter.A * row, axis=1) for row in d]) * scale
     return loss, grads
-
-
-@dataclass
-class SubwordAlignment:
-    """Maps each word to a contiguous half-open range of subtoken indices."""
-
-    word_to_subtokens: list[tuple[int, int]]
-
-    def validate(self, num_subtokens: int) -> None:
-        cursor = 0
-        for start, end in self.word_to_subtokens:
-            if start != cursor or end <= start:
-                raise ValueError(
-                    f"alignment ranges must be non-empty, contiguous and ordered; "
-                    f"got ({start}, {end}) at cursor {cursor}"
-                )
-            cursor = end
-        if cursor != num_subtokens:
-            raise ValueError(
-                f"alignment covers {cursor} subtokens but sequence has {num_subtokens}"
-            )
-
-
-def chunk_alignment(words: list[str], max_chunk: int = 3) -> tuple[list[str], SubwordAlignment]:
-    """Synthetic subword split: each word becomes character chunks of <= max_chunk."""
-    subtokens: list[str] = []
-    ranges: list[tuple[int, int]] = []
-    for word in words:
-        start = len(subtokens)
-        for i in range(0, len(word), max_chunk):
-            subtokens.append(word[i:i + max_chunk])
-        ranges.append((start, len(subtokens)))
-    return subtokens, SubwordAlignment(ranges)
-
-
-def first_subtoken_aggregate(
-    subtoken_logits: list[np.ndarray] | np.ndarray, align: SubwordAlignment
-) -> list[np.ndarray]:
-    """Per-word logits: each word is represented by its first subtoken only."""
-    align.validate(len(subtoken_logits))
-    return [np.asarray(subtoken_logits[start]) for start, _ in align.word_to_subtokens]
 
 
 def predict_binary(word_logits: list[np.ndarray] | np.ndarray) -> list[int]:

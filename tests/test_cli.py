@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shutil
 import subprocess
 import sys
 import threading
@@ -353,6 +354,23 @@ class TestCommands:
         assert "--confusion-csv needs emotion predictions" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["gold.jsonl", "pred.jsonl"]
 
+    def test_evaluate_creates_the_confusion_csv_directory(self, tmp_path):
+        gold = synthetic_corpus(2, seed=1)
+        save_corpus(gold, tmp_path / "gold.jsonl")
+        (tmp_path / "pred.jsonl").write_text("".join(
+            json.dumps({"id": s.id, "emotion": "Joy"}) + "\n" for s in gold.sentences))
+        confusion = tmp_path / "tables" / "confusion.csv"
+        code = main([
+            "evaluate", "--gold", str(tmp_path / "gold.jsonl"),
+            "--predictions", str(tmp_path / "pred.jsonl"), "--output", str(tmp_path / "report.json"),
+            "--confusion-csv", str(confusion),
+        ])
+        assert code == EXIT_OK
+        record = json.loads((tmp_path / "report.json.provenance.json").read_text())
+        assert record["command"] == "evaluate"
+        assert confusion.read_text().startswith("gold\\pred,")
+        assert not (tmp_path / "tables" / "confusion.csv.provenance.json").exists()
+
     @pytest.mark.parametrize("case", ["evaluate-output-under-a-file", "evaluate-no-predictions",
                                       "parse-llm-no-input", "stats-on-a-directory"])
     def test_file_system_error_is_a_data_error(self, tmp_path, capsys, case):
@@ -511,7 +529,7 @@ class TestPredict:
         assert not worker.is_alive()
         [(code, predictions)] = codes
         assert code == EXIT_DATA
-        assert f"data error: {model}: cannot hash the checkpoint" in capsys.readouterr().err
+        assert f"data error: {model}: cannot hash the input" in capsys.readouterr().err
         assert not predictions.exists()
 
     @pytest.mark.parametrize("damage", ["feature-dim", "lora-rank", "unsorted-cols", "cols-length",
@@ -826,14 +844,19 @@ WRITTEN_OUTPUTS = [
 ]
 
 
-def test_every_output_has_one_provenance_sidecar(tmp_path):
-    root = tmp_path / "run"
+def run_every_writer(root):
+    """The pipeline, from a generated corpus with a sidecar, then parse-llm."""
     root.mkdir()
     write_provenance(root / "d_s_all.jsonl", {"generator": "synthetic", "seed": 3})
     run_pipeline(root)
     (root / "responses.tsv").write_text("id1\tLabel: Joy\nid2\tno label\n")
     assert main(["parse-llm", "--input", str(root / "responses.tsv"),
                  "--output", str(root / "labels.tsv")]) == EXIT_OK
+
+
+def test_every_output_has_one_provenance_sidecar(tmp_path):
+    root = tmp_path / "run"
+    run_every_writer(root)
     for output, command, extra in WRITTEN_OUTPUTS:
         text = (root / f"{output}.provenance.json").read_text(encoding="utf-8")
         record = json.loads(text)
@@ -846,6 +869,87 @@ def test_every_output_has_one_provenance_sidecar(tmp_path):
     assert sorted(p.name for p in root.glob("*.provenance.json")) == sorted(
         f"{name}.provenance.json" for name in ["d_s_all.jsonl", *next(zip(*WRITTEN_OUTPUTS))]
     )
+
+
+def test_every_file_is_written_through_write_outputs(tmp_path, monkeypatch):
+    written = []
+    write_outputs = cli.write_outputs
+
+    def recording(provenance, *outputs):
+        for path, _, sidecar_keys in outputs:
+            written.append(str(path))
+            if sidecar_keys is not None:
+                written.append(f"{path}.provenance.json")
+        write_outputs(provenance, *outputs)
+
+    monkeypatch.setattr(cli, "write_outputs", recording)
+    root = tmp_path / "run"
+    run_every_writer(root)
+    given = {"d_s_all.jsonl", "d_s_all.jsonl.provenance.json", "config.yaml", "responses.tsv"}
+    created = sorted(str(p) for p in root.rglob("*") if p.is_file()
+                     and p.parent != root / "cache" and p.name not in given)
+    assert len(written) == len(set(written))
+    assert created == sorted(written)
+
+
+@pytest.fixture(scope="module")
+def pipeline_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pipeline") / "run"
+    run_every_writer(root)
+    (root / "emotions.jsonl").write_text("".join(
+        json.dumps({"id": s.id, "emotion": "Joy"}) + "\n" for s in load_corpus(root / "val.jsonl")))
+    return root
+
+
+# A writing command given an output that is one of its inputs or another of its outputs,
+# and the two clashing paths: the output, then the other. {run} is the pipeline's directory.
+SAME_PATH_CASES = {
+    "split-outputs": (["split", "--input", "{run}/d_s_all.jsonl", "--output-train", "{run}/x.jsonl",
+                       "--output-validation", "{run}/sub/../x.jsonl"],
+                      "{run}/sub/../x.jsonl", "{run}/x.jsonl"),
+    "split-output-sidecar": (["split", "--input", "{run}/d_s_all.jsonl",
+                              "--output-train", "{run}/x.jsonl",
+                              "--output-validation", "{run}/x.jsonl.provenance.json"],
+                             "{run}/x.jsonl.provenance.json", "{run}/x.jsonl.provenance.json"),
+    "project-input": (["project", "--input", "{run}/d_s.jsonl", "--tgt", "es",
+                       "--output", "{run}/d_s.jsonl"], "{run}/d_s.jsonl", "{run}/d_s.jsonl"),
+    "switch-source": (["switch", "--source", "{run}/d_s.jsonl", "--target", "{run}/d_t.jsonl",
+                       "--output-st", "{run}/x.jsonl", "--output-ts", "{run}/d_s.jsonl"],
+                      "{run}/d_s.jsonl", "{run}/d_s.jsonl"),
+    "combine-input": (["combine", "--combine", "D_S+D_T", "--d-s", "{run}/d_s.jsonl",
+                       "--d-t", "{run}/d_t.jsonl", "--output", "{run}/d_t.jsonl"],
+                      "{run}/d_t.jsonl", "{run}/d_t.jsonl"),
+    "train-input": (["train", "--input", "{run}/train_all.jsonl", "--task", "trigger",
+                     "--epochs", "1", "--feature-dim", "4096", "--output", "{run}/train_all.jsonl"],
+                    "{run}/train_all.jsonl", "{run}/train_all.jsonl"),
+    "predict-model": (["predict", "--model", "{run}/model.npz", "--input", "{run}/val.jsonl",
+                       "--output", "{run}/model.npz"], "{run}/model.npz", "{run}/model.npz"),
+    "evaluate-predictions": (["evaluate", "--gold", "{run}/val.jsonl",
+                              "--predictions", "{run}/predictions.jsonl",
+                              "--output", "{run}/predictions.jsonl"],
+                             "{run}/predictions.jsonl", "{run}/predictions.jsonl"),
+    "evaluate-outputs": (["evaluate", "--gold", "{run}/val.jsonl",
+                          "--predictions", "{run}/emotions.jsonl", "--output", "{run}/r.json",
+                          "--confusion-csv", "{run}/r.json"], "{run}/r.json", "{run}/r.json"),
+    "parse-llm-input": (["parse-llm", "--input", "{run}/responses.tsv",
+                         "--output", "{run}/responses.tsv"],
+                        "{run}/responses.tsv", "{run}/responses.tsv"),
+}
+
+
+@pytest.mark.parametrize("case", SAME_PATH_CASES)
+def test_output_on_an_input_or_another_output_is_rejected(tmp_path, capsys, pipeline_files,
+                                                          case):
+    root = tmp_path / "run"
+    shutil.copytree(pipeline_files, root)
+    argv, output, other = SAME_PATH_CASES[case]
+    argv = [arg.format(run=root) for arg in argv]
+    output, other = output.format(run=root), other.format(run=root)
+    before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"configuration error: output {output} is the same file as {other}\n"
+    assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == before
 
 
 class TestPipeline:

@@ -14,9 +14,6 @@ from xlproject.features import FeatureBlock, FeatureVector, HashedNgramFeaturize
 from xlproject.model import (
     LinearModel,
     LoraAdapter,
-    SubwordAlignment,
-    chunk_alignment,
-    first_subtoken_aggregate,
     forward,
     loss_and_grads,
     numeric_attributions,
@@ -40,7 +37,9 @@ def dense_forward_oracle(model, adapter, x):
     weight = model.W0.copy()
     if adapter is not None:
         weight = weight + (adapter.alpha / adapter.rank) * (adapter.B @ adapter.A)
-    return weight @ x.to_dense() + model.b
+    dense = np.zeros(x.dim)
+    dense[x.indices] = x.values
+    return weight @ dense + model.b
 
 
 class TestFeaturizer:
@@ -361,39 +360,6 @@ class TestAdamW:
 
 
 class TestAggregationAndHeads:
-    def test_identity_alignment(self):
-        logits = [np.array([0.1, 0.2]), np.array([0.3, 0.4])]
-        align = SubwordAlignment([(0, 1), (1, 2)])
-        out = first_subtoken_aggregate(logits, align)
-        assert np.array_equal(out[0], logits[0])
-        assert np.array_equal(out[1], logits[1])
-
-    def test_first_token_rule(self):
-        logits = [np.array([i, -i]) for i in range(3)]
-        align = SubwordAlignment([(0, 3)])
-        out = first_subtoken_aggregate(logits, align)
-        assert len(out) == 1
-        assert np.array_equal(out[0], logits[0])
-
-    def test_three_words_over_five_subtokens(self):
-        logits = [np.array([float(i), 0.0]) for i in range(5)]
-        align = SubwordAlignment([(0, 2), (2, 3), (3, 5)])
-        out = first_subtoken_aggregate(logits, align)
-        assert [int(o[0]) for o in out] == [0, 2, 3]
-
-    def test_partition_violation_rejected(self):
-        logits = [np.zeros(2)] * 3
-        with pytest.raises(ValueError, match="contiguous|covers"):
-            first_subtoken_aggregate(logits, SubwordAlignment([(0, 1), (2, 3)]))
-        with pytest.raises(ValueError, match="covers"):
-            first_subtoken_aggregate(logits, SubwordAlignment([(0, 2)]))
-
-    def test_chunk_alignment_partitions(self):
-        subtokens, align = chunk_alignment(["hello", "hi", "worldwide"], max_chunk=3)
-        assert subtokens == ["hel", "lo", "hi", "wor", "ldw", "ide"]
-        align.validate(len(subtokens))
-        assert align.word_to_subtokens == [(0, 2), (2, 3), (3, 6)]
-
     def test_predict_binary_argmax_and_ties(self):
         assert predict_binary([np.array([0.1, 2.0])]) == [1]
         assert predict_binary([np.array([1.0, 1.0])]) == [0]
