@@ -4,6 +4,7 @@ Example:
     python scripts/make_synthetic_corpus.py --n 600 --seed 1 --output data/train.jsonl
 """
 import argparse
+from pathlib import Path
 
 from xlproject.cli import write_provenance
 from xlproject.corpus import save_corpus
@@ -19,6 +20,7 @@ def main() -> None:
     parser.add_argument("--output", required=True)
     args = parser.parse_args()
     corpus = synthetic_corpus(args.n, seed=args.seed, id_prefix=args.id_prefix)
+    Path(args.output).parent.mkdir(parents=True, exist_ok=True)
     save_corpus(corpus, args.output, format=args.format)
     write_provenance(args.output, {"generator": "synthetic", "seed": args.seed})
     print(f"wrote {len(corpus)} sentences to {args.output}")

@@ -2,10 +2,12 @@
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 translation
 backend error, 5 internal error. Every command writes its outputs through
-:func:`write_outputs`, which creates each output's directory and writes the
-output's ``<output>.provenance.json`` sidecar: the command, a hash of its
-effective configuration, the seed, the hashes of its input files, taken once
-after the command has read them, and the command's own keys.
+:func:`write_outputs`, which, before the command's work, rejects an output
+that is the same file as an input or another output, and afterwards creates
+each output's directory and writes the output's ``<output>.provenance.json``
+sidecar: the command, a hash of its effective configuration, the seed, the
+hashes of its input files, taken once after the command has read them, and the
+command's own keys.
 """
 from __future__ import annotations
 
@@ -92,7 +94,6 @@ class LlmResponseError(ValueError):
 
     def __init__(self, text: str):
         super().__init__(f"no emotion label found in response: {text!r}")
-        self.text = text
 
 
 _LABEL_MARKER = re.compile(r"label\s*:", re.IGNORECASE)
@@ -183,11 +184,14 @@ def write_provenance(output: str | Path, record: dict) -> None:
     )
 
 
-def write_outputs(provenance: dict, *outputs) -> None:
-    """Write each ``(path, write, sidecar_keys)`` output: create its directory,
-    call ``write(path)``, then write its sidecar of ``provenance`` plus
-    ``sidecar_keys`` (none if those are ``None``). Before anything is written, a
-    file to write that is an input or another file to write is a configuration error."""
+@contextlib.contextmanager
+def write_outputs(provenance: dict, *outputs):
+    """Write each ``(path, write, sidecar_keys)`` output once the ``with`` block
+    succeeds: create its directory, call ``write(path)``, then write its sidecar of
+    ``provenance`` plus ``sidecar_keys`` (none if those are ``None``). The writers
+    run after the block, so they may use what it computes. On entry, before the
+    block's work, a file to write that is an input or another file to write is a
+    configuration error."""
     claimed = {Path(path).resolve(): path for path in provenance["inputs"]}
     for path, _, sidecar_keys in outputs:
         written = [path] if sidecar_keys is None else [path, sidecar(path, "provenance.json")]
@@ -196,6 +200,7 @@ def write_outputs(provenance: dict, *outputs) -> None:
             if resolved in claimed:
                 raise ConfigError(f"output {name} is the same file as {claimed[resolved]}")
             claimed[resolved] = name
+    yield
     for path, write, sidecar_keys in outputs:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -253,20 +258,13 @@ def cmd_split(args, config) -> None:
     if not 0.0 < args.fraction < 1.0:
         raise ConfigError(f"--fraction must be in (0, 1), got {args.fraction}")
     corpus = load_corpus(args.input, format=args.format)
-    train_corpus, val_corpus = split_train_validation(corpus, args.fraction, args.seed)
-    for half, name in ((train_corpus, "training"), (val_corpus, "validation")):
-        if not half.sentences:
-            raise DataError(
-                f"{args.input}: splitting {len(corpus)} sentences at fraction {args.fraction} "
-                f"leaves the {name} half empty"
-            )
     extra = {
         "input_provenance": read_provenance(args.input),
         "split_seed": args.seed,
         "split_fraction": args.fraction,
         "split_stratified": False,
     }
-    write_outputs(
+    with write_outputs(
         build_provenance(
             "split", {"fraction": args.fraction, "seed": args.seed, "format": args.format},
             [Path(args.input)], seed=args.seed,
@@ -275,7 +273,14 @@ def cmd_split(args, config) -> None:
          {**extra, "split_role": "train"}),
         (args.output_validation, lambda p: save_corpus(val_corpus, p, format=args.format),
          {**extra, "split_role": "validation"}),
-    )
+    ):
+        train_corpus, val_corpus = split_train_validation(corpus, args.fraction, args.seed)
+        for half, name in ((train_corpus, "training"), (val_corpus, "validation")):
+            if not half.sentences:
+                raise DataError(
+                    f"{args.input}: splitting {len(corpus)} sentences at fraction "
+                    f"{args.fraction} leaves the {name} half empty"
+                )
     print(f"split {len(corpus)} -> {len(train_corpus)} train + {len(val_corpus)} validation")
 
 
@@ -288,7 +293,7 @@ def cmd_project(args, config) -> None:
     corpus = load_corpus(args.input, format=args.format)
     wrong = [s.id for s in corpus.sentences if s.language != args.src]
     if wrong:
-        raise DataError(f"sentences not in source language {args.src!r}: {wrong[:5]}")
+        raise DataError(f"{args.input}: sentences not in source language {args.src!r}: {wrong[:5]}")
     backend_name = resolve(args.backend, config, "mt.backend", "identity")
     backend = make_backend(backend_name, config)
     cache_dir = resolve(args.cache_dir, config, "paths.cache_dir")
@@ -300,11 +305,6 @@ def cmd_project(args, config) -> None:
             f"parallelism must be an integer from 1 to {MAX_PARALLELISM}, got {parallelism!r}"
         )
     scheme = parse_scheme(args.scheme)
-
-    with TranslationCache(cache_dir) if cache_dir else contextlib.nullcontext() as cache:
-        report = project_corpus(
-            corpus, scheme, backend, args.src, args.tgt, cache=cache, parallelism=parallelism
-        )
     provenance = build_provenance(
         "project",
         {
@@ -317,16 +317,19 @@ def cmd_project(args, config) -> None:
         },
         [Path(args.input)],
     )
-    discards = ({"id": d.id, "reason": d.reason.value, "translated_text": d.translated_text}
-                for d in report.discards)
-    pairs = (make_aligned_pair(source, projected) for source, projected in report.alignments)
-    write_outputs(
+    with write_outputs(
         provenance,
         (args.output, lambda p: save_corpus(report.corpus, p, format=args.format),
          {"projected_from": args.src, "projected_to": args.tgt, "backend": backend.backend_id}),
         (sidecar(args.output, "discards.jsonl"), lambda p: write_jsonl(discards, p), None),
         (sidecar(args.output, "pairs.jsonl"), lambda p: save_pairs(pairs, p), None),
-    )
+    ), TranslationCache(cache_dir) if cache_dir else contextlib.nullcontext() as cache:
+        report = project_corpus(
+            corpus, scheme, backend, args.src, args.tgt, cache=cache, parallelism=parallelism
+        )
+        discards = ({"id": d.id, "reason": d.reason.value, "translated_text": d.translated_text}
+                    for d in report.discards)
+        pairs = (make_aligned_pair(source, projected) for source, projected in report.alignments)
     cache_use = (
         f"cache: {cache.hits} hits, {cache.misses} misses, {cache.torn_lines} torn lines skipped"
         if cache is not None
@@ -343,8 +346,7 @@ def cmd_switch(args, config) -> None:
     target = load_corpus(args.target, format=args.format)
     pairs_path = sidecar(args.target, "pairs.jsonl")
     pairs = load_pairs(pairs_path, source, target)
-    st_corpus, ts_corpus = switch_corpus(pairs)
-    write_outputs(
+    with write_outputs(
         build_provenance(
             "switch", {"format": args.format}, [Path(args.source), Path(args.target), pairs_path]
         ),
@@ -352,7 +354,8 @@ def cmd_switch(args, config) -> None:
          {"augmentation": "trigger_switch"}),
         (args.output_ts, lambda p: save_corpus(ts_corpus, p, format=args.format),
          {"augmentation": "trigger_switch"}),
-    )
+    ):
+        st_corpus, ts_corpus = switch_corpus(pairs)
     print(f"switched {len(pairs)} pairs")
 
 
@@ -376,12 +379,12 @@ def cmd_combine(args, config) -> None:
             merged.sentences.extend(load_corpus(path, format=args.format, seen=seen))
             inputs.append(Path(path))
         corpora[tag] = merged
-    combined = build_dataset(spec, corpora)
-    write_outputs(
+    with write_outputs(
         build_provenance("combine", {"combine": str(spec), "format": args.format}, sorted(inputs)),
         (args.output, lambda p: save_corpus(combined, p, format=args.format),
          {"combination": str(spec)}),
-    )
+    ):
+        combined = build_dataset(spec, corpora)
     print(f"combined {str(spec)} -> {len(combined)} sentences")
 
 
@@ -410,13 +413,8 @@ def cmd_train(args, config) -> None:
         print(f"warning: --lora-r {lora.rank} exceeds the {classes} classes of the "
               f"{args.task} head: ranks above {classes} add cost but no expressivity",
               file=sys.stderr)
-    try:
-        trained = train(corpus, args.task, train_config, validation=validation)
-    except MissingLabelsError as exc:
-        path = args.validation if exc.role == "validation" else args.input
-        raise DataError(f"{path}: {exc}") from exc
     inputs = [Path(args.input)] + ([Path(args.validation)] if args.validation else [])
-    write_outputs(
+    with write_outputs(
         build_provenance(
             "train",
             {"task": args.task, "config": str(train_config), "format": args.format},
@@ -424,7 +422,12 @@ def cmd_train(args, config) -> None:
             seed=args.seed,
         ),
         (args.output, lambda p: save_model(trained, p), {}),
-    )
+    ):
+        try:
+            trained = train(corpus, args.task, train_config, validation=validation)
+        except MissingLabelsError as exc:
+            path = args.validation if exc.role == "validation" else args.input
+            raise DataError(f"{path}: {exc}") from exc
     last = trained.history[-1] if trained.history else {}
     print(f"trained {args.task} model: {json.dumps(last)}")
 
@@ -434,8 +437,8 @@ def cmd_predict(args, config) -> None:
     corpus = load_corpus(args.input, format=args.format)
     provenance = build_provenance("predict", {"task": trained.task, "format": args.format},
                                   [Path(args.model), Path(args.input)])
-    records = trained.predict(corpus)
-    write_outputs(provenance, (args.output, lambda p: write_jsonl(records, p), {}))
+    with write_outputs(provenance, (args.output, lambda p: write_jsonl(records, p), {})):
+        records = trained.predict(corpus)
     print(f"predicted {len(records)} sentences ({trained.task})")
 
 
@@ -461,7 +464,7 @@ def cmd_evaluate(args, config) -> None:
 
     missing = [s.id for s in gold.sentences if s.id not in by_id]
     if missing:
-        raise DataError(f"missing predictions for ids: {missing[:5]}")
+        raise DataError(f"{args.predictions}: missing predictions for ids: {missing[:5]}")
     gold_ids = {s.id for s in gold.sentences}
     unknown = [sid for sid in by_id if sid not in gold_ids]
     if unknown:
@@ -500,33 +503,39 @@ def cmd_evaluate(args, config) -> None:
             numeric_masks.append(sentence.trigger_mask)
             numeric_values.append(record["numeric"])
 
-    attribution_pairs = list(zip(numeric_masks, normalize_each(numeric_values)))
-    report = build_report(
-        emotion_pairs=emotion_pairs or None,
-        mask_pairs=mask_pairs or None,
-        attribution_pairs=attribution_pairs or None,
-    )
-    if args.confusion_csv and report.confusion is None:
-        raise ConfigError("--confusion-csv needs emotion predictions to evaluate")
-    report_text = json.dumps(report.to_json_dict(), ensure_ascii=False, indent=2) + "\n"
     outputs = [(args.output, lambda p: p.write_text(report_text, encoding="utf-8"), {})]
     if args.confusion_csv:
+        if not emotion_pairs:
+            raise ConfigError("--confusion-csv needs emotion predictions to evaluate")
         outputs.append((args.confusion_csv,
                         lambda p: p.write_text(report.confusion.to_csv(), encoding="utf-8"), None))
-    write_outputs(
+    with write_outputs(
         build_provenance("evaluate", {"format": args.format}, [Path(args.gold), predictions_path]),
         *outputs,
-    )
+    ):
+        attribution_pairs = list(zip(numeric_masks, normalize_each(numeric_values)))
+        report = build_report(
+            emotion_pairs=emotion_pairs or None,
+            mask_pairs=mask_pairs or None,
+            attribution_pairs=attribution_pairs or None,
+        )
+        report_text = json.dumps(report.to_json_dict(), ensure_ascii=False, indent=2) + "\n"
     print(json.dumps(report.to_json_dict()))
 
 
 def cmd_parse_llm(args, config) -> None:
     input_path = Path(args.input)
+    lines = input_path.read_text(encoding="utf-8").split("\n")
     rows = []
     errors = []
-    with open(input_path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
+    with write_outputs(
+        build_provenance(
+            "parse-llm", {"fallback_neutral": bool(args.fallback_neutral)}, [input_path]
+        ),
+        (args.output, lambda p: p.write_text("".join(rows), encoding="utf-8"), {}),
+        (sidecar(args.output, "errors.jsonl"), lambda p: write_jsonl(errors, p), None),
+    ):
+        for lineno, line in enumerate(lines, start=1):
             if not line:
                 continue
             if "\t" not in line:
@@ -539,13 +548,6 @@ def cmd_parse_llm(args, config) -> None:
                 errors.append({"id": sid, "error": str(exc), "text": response})
                 if args.fallback_neutral:
                     rows.append(f"{sid}\t{EmotionLabel.NEUTRAL.value}\n")
-    write_outputs(
-        build_provenance(
-            "parse-llm", {"fallback_neutral": bool(args.fallback_neutral)}, [input_path]
-        ),
-        (args.output, lambda p: p.write_text("".join(rows), encoding="utf-8"), {}),
-        (sidecar(args.output, "errors.jsonl"), lambda p: write_jsonl(errors, p), None),
-    )
     print(f"parsed {len(rows)} labels ({len(errors)} errors)")
 
 

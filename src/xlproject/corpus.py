@@ -248,9 +248,7 @@ _ENCODE = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
-    """Write one JSON object per line, creating the parent directory."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write one JSON object per line into an existing directory."""
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
             handle.write(_ENCODE(record) + "\n")
@@ -345,8 +343,6 @@ def _load_tsv(path: Path, seen: dict[str, tuple[Path, int]]) -> list[AnnotatedSe
 
 def save_corpus(corpus: Corpus, path: str | Path, format: str = "jsonl") -> None:
     """Write a corpus so that a reload reproduces it field for field."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     if format == "jsonl":
         write_jsonl(map(_sentence_to_record, corpus.sentences), path)
     elif format == "tsv":
@@ -355,7 +351,7 @@ def save_corpus(corpus: Corpus, path: str | Path, format: str = "jsonl") -> None
         raise ValueError(f"unknown format {format!r}")
 
 
-def _save_tsv(corpus: Corpus, path: Path) -> None:
+def _save_tsv(corpus: Corpus, path: str | Path) -> None:
     lines: list[str] = []
     for sent in corpus.sentences:
         for value in (sent.id, sent.language):

@@ -8,6 +8,7 @@ all-negative attribution vectors normalize to uniform.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -21,9 +22,6 @@ class Attributions:
     """Per-word importance values; non-negative and summing to 1 once normalized."""
 
     values: list[float]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def rows_by_length(flat: np.ndarray, lengths: list[int], rows_fn) -> list[list[float]]:
@@ -65,18 +63,6 @@ def normalize_attributions(raw: list[float]) -> Attributions:
     return normalize_each([raw])[0]
 
 
-def _class_counts(
-    gold: list[EmotionLabel], pred: list[EmotionLabel]
-) -> dict[EmotionLabel, tuple[int, int, int]]:
-    counts = {}
-    for label in EMOTION_ORDER:
-        tp = sum(1 for g, p in zip(gold, pred) if g is label and p is label)
-        fp = sum(1 for g, p in zip(gold, pred) if g is not label and p is label)
-        fn = sum(1 for g, p in zip(gold, pred) if g is label and p is not label)
-        counts[label] = (tp, fp, fn)
-    return counts
-
-
 def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     precision = tp / (tp + fp) if tp + fp > 0 else 0.0
     recall = tp / (tp + fn) if tp + fn > 0 else 0.0
@@ -91,15 +77,14 @@ def macro_f1(gold: list[EmotionLabel], pred: list[EmotionLabel]) -> float:
     mean so that small evaluation slices stay scoreable; full six-class runs
     are unaffected.
     """
-    if len(gold) != len(pred):
-        raise ValueError(f"length mismatch: {len(gold)} gold vs {len(pred)} pred")
+    matrix = confusion_matrix(gold, pred)
     if not gold:
         raise ValueError("inputs must be non-empty")
-    scores = []
-    for label, (tp, fp, fn) in _class_counts(gold, pred).items():
-        if tp + fp + fn == 0:
-            continue
-        scores.append(_prf(tp, fp, fn)[2])
+    return _macro_f1(matrix.class_counts())
+
+
+def _macro_f1(class_counts: dict[EmotionLabel, tuple[int, int, int]]) -> float:
+    scores = [_prf(*counts)[2] for counts in class_counts.values() if sum(counts) > 0]
     return float(np.mean(scores)) if scores else 0.0
 
 
@@ -107,9 +92,8 @@ def instance_token_f1(gold_mask: list[int], pred_mask: list[int]) -> float:
     """Positional F1 over one sentence's binary trigger mask."""
     if len(gold_mask) != len(pred_mask):
         raise ValueError(f"length mismatch: {len(gold_mask)} gold vs {len(pred_mask)} pred")
-    tp = sum(1 for g, p in zip(gold_mask, pred_mask) if g == 1 and p == 1)
-    fp = sum(1 for g, p in zip(gold_mask, pred_mask) if g == 0 and p == 1)
-    fn = sum(1 for g, p in zip(gold_mask, pred_mask) if g == 1 and p == 0)
+    pairs = Counter(zip(gold_mask, pred_mask))
+    tp, fp, fn = pairs[1, 1], pairs[0, 1], pairs[1, 0]
     if tp + fp + fn == 0:
         return 1.0  # both masks empty: correctly predicted "no triggers"
     return 2 * tp / (2 * tp + fp + fn)
@@ -155,15 +139,13 @@ class ConfusionMatrix:
 
     counts: np.ndarray  # (6, 6) int
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def row_normalized(self) -> np.ndarray:
-        sums = self.counts.sum(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore"):
-            normalized = np.where(sums > 0, self.counts / np.maximum(sums, 1), 0.0)
-        return normalized
+    def class_counts(self) -> dict[EmotionLabel, tuple[int, int, int]]:
+        """Each class's (tp, fp, fn) as Python ints: its diagonal cell, then its column
+        sum and its row sum less that cell."""
+        rows = self.counts.tolist()
+        columns = [sum(column) for column in zip(*rows)]
+        return {label: (rows[i][i], columns[i] - rows[i][i], sum(rows[i]) - rows[i][i])
+                for i, label in enumerate(EMOTION_ORDER)}
 
     def to_lists(self) -> list[list[int]]:
         return self.counts.astype(int).tolist()
@@ -216,10 +198,11 @@ def build_report(
     if emotion_pairs:
         gold = [g for g, _ in emotion_pairs]
         pred = [p for _, p in emotion_pairs]
-        report.macro_f1 = macro_f1(gold, pred)
         report.confusion = confusion_matrix(gold, pred)
-        for label, (tp, fp, fn) in _class_counts(gold, pred).items():
-            precision, recall, f1 = _prf(tp, fp, fn)
+        class_counts = report.confusion.class_counts()
+        report.macro_f1 = _macro_f1(class_counts)
+        for label, counts in class_counts.items():
+            precision, recall, f1 = _prf(*counts)
             report.per_class[label.value] = {
                 "precision": precision,
                 "recall": recall,

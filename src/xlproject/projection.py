@@ -44,9 +44,6 @@ class MarkerScheme:
                 if a != b and a in b:
                     raise ValueError(f"marker symbol {a!r} is a substring of {b!r}")
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
 
 @dataclass(frozen=True)
 class TriggerSpan:

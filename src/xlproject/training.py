@@ -291,8 +291,6 @@ def train(
 
 def save_model(trained: TrainedModel, path: str | Path) -> None:
     """Checkpoint to .npz: weight arrays plus a JSON metadata blob (see README)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     adapter = trained.adapter
     meta = {
         "version": CHECKPOINT_VERSION,

@@ -284,17 +284,13 @@ def translate_batch(
             with ThreadPoolExecutor(max_workers=parallelism) as pool:
                 outcomes = list(pool.map(settle, unique_texts))
         # Texts are in order of first use, so the first failure has the lowest index.
-        failure: tuple[int, Exception] | None = None
         for text, (translated, error) in zip(unique_texts, outcomes):
-            if error is None:
-                for i in pending[text]:
-                    results[i] = translated
-            elif failure is None:
-                failure = (pending[text][0], error)
-        if failure is not None:
-            index, error = failure
-            raise TranslationError(
-                f"translation failed for text at index {index}: {error}", index=index
-            ) from error
+            if error is not None:
+                index = pending[text][0]
+                raise TranslationError(
+                    f"translation failed for text at index {index}: {error}", index=index
+                ) from error
+            for i in pending[text]:
+                results[i] = translated
     assert all(r is not None for r in results)
     return results  # type: ignore[return-value]

@@ -14,6 +14,7 @@ from xlproject.cli import (
     EXIT_BACKEND,
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_INTERNAL,
     EXIT_OK,
     LlmResponseError,
     build_provenance,
@@ -880,7 +881,7 @@ def test_every_file_is_written_through_write_outputs(tmp_path, monkeypatch):
             written.append(str(path))
             if sidecar_keys is not None:
                 written.append(f"{path}.provenance.json")
-        write_outputs(provenance, *outputs)
+        return write_outputs(provenance, *outputs)
 
     monkeypatch.setattr(cli, "write_outputs", recording)
     root = tmp_path / "run"
@@ -950,6 +951,100 @@ def test_output_on_an_input_or_another_output_is_rejected(tmp_path, capsys, pipe
     err = capsys.readouterr().err
     assert err == f"configuration error: output {output} is the same file as {other}\n"
     assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == before
+
+
+def test_same_file_is_rejected_before_the_work(tmp_path, capsys, monkeypatch):
+    save_corpus(synthetic_corpus(20, seed=1), tmp_path / "d_s.jsonl")
+    d_s, cache = str(tmp_path / "d_s.jsonl"), tmp_path / "cache"
+    trained = []
+    monkeypatch.setattr(cli, "train", lambda *args, **kwargs: trained.append(args))
+    before = (tmp_path / "d_s.jsonl").read_bytes()
+    message = f"configuration error: output {d_s} is the same file as {d_s}\n"
+    for argv in (["train", "--input", d_s, "--task", "trigger", "--epochs", "5"],
+                 ["project", "--input", d_s, "--tgt", "es", "--cache-dir", str(cache)]):
+        assert main(argv + ["--output", d_s]) == EXIT_CONFIG
+        assert capsys.readouterr().err == message
+    assert trained == []
+    assert not cache.exists()  # no translation ran, so no cache segment was written
+    assert (tmp_path / "d_s.jsonl").read_bytes() == before
+
+
+# A documented bad input (or a valid --scheme), the exit code and a fragment of what the
+# command prints. {tmp} is the test's directory (see bad_input_files); outputs go to {tmp}/out.
+SPLIT = ["split", "--input", "{tmp}/d_s.jsonl", "--output-train", "{tmp}/out/t.jsonl",
+         "--output-validation", "{tmp}/out/v.jsonl"]
+PROJECT = ["project", "--input", "{tmp}/d_s.jsonl", "--output", "{tmp}/out/d_t.jsonl"]
+BAD_INPUT_CASES = {
+    "config-missing": (SPLIT + ["--config", "{tmp}/nope.yaml"], EXIT_CONFIG,
+                       "config file not found: {tmp}/nope.yaml"),
+    "config-not-a-mapping": (SPLIT + ["--config", "{tmp}/list.yaml"], EXIT_CONFIG,
+                             "{tmp}/list.yaml: config file must contain a mapping"),
+    "remote-without-endpoint": (PROJECT + ["--tgt", "es", "--config", "{tmp}/remote.yaml"],
+                                EXIT_CONFIG, "remote backend needs mt.endpoint"),
+    "unknown-backend": (PROJECT + ["--tgt", "es", "--config", "{tmp}/pigeon.yaml"], EXIT_CONFIG,
+                        "unknown backend 'pigeon'"),
+    # One marker pair: the sentences with two trigger spans are discarded.
+    "scheme-inline": (PROJECT + ["--tgt", "es", "--scheme", '[["<<", ">>"]]'], EXIT_OK,
+                      "projected 3 of 6 sentences to es (3 discarded)"),
+    "scheme-file": (PROJECT + ["--tgt", "es", "--scheme", "{tmp}/scheme.json"], EXIT_OK,
+                    "projected 3 of 6 sentences to es (3 discarded)"),
+    "scheme-bad-pair": (PROJECT + ["--tgt", "es", "--scheme", "[[1]]"], EXIT_CONFIG,
+                        "invalid marker scheme '[[1]]'"),
+    "split-fraction": (SPLIT + ["--fraction", "1.5"], EXIT_CONFIG,
+                       "--fraction must be in (0, 1), got 1.5"),
+    "project-unknown-tgt": (PROJECT + ["--tgt", "xx"], EXIT_CONFIG, "--tgt must be one of"),
+    "project-src-is-tgt": (PROJECT + ["--src", "es", "--tgt", "es"], EXIT_CONFIG,
+                           "--src and --tgt must differ"),
+    "project-wrong-language": (PROJECT + ["--src", "fr", "--tgt", "es"], EXIT_DATA,
+                               "{tmp}/d_s.jsonl: sentences not in source language 'fr'"),
+    "combine-tag-without-path": (["combine", "--combine", "D_S+D_T", "--d-s", "{tmp}/d_s.jsonl",
+                                  "--output", "{tmp}/out/all.jsonl"], EXIT_CONFIG,
+                                 "combination includes D_T but no path was given"),
+    "train-alpha-without-rank": (["train", "--input", "{tmp}/d_s.jsonl", "--task", "trigger",
+                                  "--lora-alpha", "8", "--output", "{tmp}/out/model.npz"],
+                                 EXIT_CONFIG, "--lora-alpha requires --lora-r"),
+    "evaluate-missing-prediction": (["evaluate", "--gold", "{tmp}/d_s.jsonl",
+                                     "--predictions", "{tmp}/one.jsonl",
+                                     "--output", "{tmp}/out/report.json"], EXIT_DATA,
+                                    "{tmp}/one.jsonl: missing predictions for ids: ['syn-0001'"),
+    "evaluate-kind-gold-lacks": (["evaluate", "--gold", "{tmp}/unlabelled.jsonl",
+                                  "--predictions", "{tmp}/u_pred.jsonl",
+                                  "--output", "{tmp}/out/report.json"], EXIT_DATA,
+                                 "gold sentence 'u-1' has no emotion label"),
+    # split_train_validation is made to raise: a bug, not a bad input.
+    "internal-error": (SPLIT, EXIT_INTERNAL, "RuntimeError: split_train_validation broke"),
+}
+
+
+@pytest.fixture
+def bad_input_files(tmp_path):
+    corpus = synthetic_corpus(6, seed=1)
+    save_corpus(corpus, tmp_path / "d_s.jsonl")
+    (tmp_path / "list.yaml").write_text("- mt\n")
+    (tmp_path / "remote.yaml").write_text("mt:\n  backend: remote\n")
+    (tmp_path / "pigeon.yaml").write_text("mt:\n  backend: pigeon\n")
+    (tmp_path / "scheme.json").write_text('[["<<", ">>"]]')
+    (tmp_path / "one.jsonl").write_text(json.dumps({"id": corpus.sentences[0].id, "mask": []}))
+    (tmp_path / "unlabelled.jsonl").write_text(
+        '{"id": "u-1", "lang": "en", "tokens": ["hi"], "mask": [0], "origin": "D_S"}\n')
+    (tmp_path / "u_pred.jsonl").write_text('{"id": "u-1", "emotion": "Joy"}\n')
+    return tmp_path
+
+
+@pytest.mark.parametrize("case", BAD_INPUT_CASES)
+def test_documented_bad_input_exit_code(bad_input_files, capsys, monkeypatch, case):
+    argv, code, fragment = BAD_INPUT_CASES[case]
+    tmp = bad_input_files
+    if code == EXIT_INTERNAL:
+        def broken(*args, **kwargs):
+            raise RuntimeError("split_train_validation broke")
+
+        monkeypatch.setattr(cli, "split_train_validation", broken)
+    assert main([arg.format(tmp=tmp) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert fragment.format(tmp=tmp) in captured.out + captured.err
+    assert ("Traceback" in captured.err) == (code == EXIT_INTERNAL)
+    assert (tmp / "out").exists() == (code == EXIT_OK)
 
 
 class TestPipeline:

@@ -238,7 +238,7 @@ class TestConfusionMatrix:
     def test_perfect_predictions_diagonal(self):
         gold = [EmotionLabel.JOY] * 3 + [EmotionLabel.FEAR] * 2
         matrix = confusion_matrix(gold, list(gold))
-        assert matrix.total == 5
+        assert matrix.counts.sum() == 5
         joy = EMOTION_ORDER.index(EmotionLabel.JOY)
         fear = EMOTION_ORDER.index(EmotionLabel.FEAR)
         assert matrix.counts[joy, joy] == 3
@@ -250,23 +250,14 @@ class TestConfusionMatrix:
         love = EMOTION_ORDER.index(EmotionLabel.LOVE)
         joy = EMOTION_ORDER.index(EmotionLabel.JOY)
         assert matrix.counts[love, joy] == 1
-        assert matrix.total == 1
+        assert matrix.counts.sum() == 1
 
     def test_total_matches_instances(self):
         rng = random.Random(8)
         labels = list(EMOTION_ORDER)
         gold = [rng.choice(labels) for _ in range(100)]
         pred = [rng.choice(labels) for _ in range(100)]
-        assert confusion_matrix(gold, pred).total == 100
-
-    def test_row_normalized_rows_sum_to_one_or_zero(self):
-        rng = random.Random(9)
-        labels = list(EMOTION_ORDER)[:3]
-        gold = [rng.choice(labels) for _ in range(40)]
-        pred = [rng.choice(labels) for _ in range(40)]
-        rows = confusion_matrix(gold, pred).row_normalized().sum(axis=1)
-        for value in rows:
-            assert value == pytest.approx(1.0) or value == 0.0
+        assert confusion_matrix(gold, pred).counts.sum() == 100
 
     def test_csv_shape(self):
         matrix = confusion_matrix([EmotionLabel.JOY], [EmotionLabel.JOY])
