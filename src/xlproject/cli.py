@@ -42,6 +42,7 @@ from .corpus import (
     label_distribution,
     load_corpus,
     read_jsonl,
+    read_lines,
     save_corpus,
     sidecar,
     split_train_validation,
@@ -51,6 +52,7 @@ from .corpus import (
 from .metrics import build_report, normalize_attributions, normalize_each  # noqa: F401
 from .projection import MarkerScheme, project_corpus
 from .training import (
+    SCHEDULES,
     LoraConfig,
     MissingLabelsError,
     TrainConfig,
@@ -251,13 +253,21 @@ def parse_scheme(text: str | None) -> MarkerScheme:
         raise ConfigError(f"invalid marker scheme {text!r}: {exc}") from None
 
 
+def load_nonempty(path: str, format: str) -> Corpus:
+    """Load a corpus that the command has no work for when it is empty."""
+    corpus = load_corpus(path, format=format)
+    if not corpus.sentences:
+        raise DataError(f"{path}: the corpus is empty")
+    return corpus
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_split(args, config) -> None:
     if not 0.0 < args.fraction < 1.0:
         raise ConfigError(f"--fraction must be in (0, 1), got {args.fraction}")
-    corpus = load_corpus(args.input, format=args.format)
+    corpus = load_nonempty(args.input, args.format)
     extra = {
         "input_provenance": read_provenance(args.input),
         "split_seed": args.seed,
@@ -360,7 +370,10 @@ def cmd_switch(args, config) -> None:
 
 
 def cmd_combine(args, config) -> None:
-    spec = CombinationSpec.parse(args.combine)
+    try:
+        spec = CombinationSpec.parse(args.combine)
+    except ValueError as exc:  # a bad origin tag, no D_S, or no tag at all
+        raise ConfigError(f"--combine {args.combine!r}: {exc}") from None
     paths = {
         DatasetTag.D_S: args.d_s,
         DatasetTag.D_T: args.d_t,
@@ -389,11 +402,12 @@ def cmd_combine(args, config) -> None:
 
 
 def cmd_train(args, config) -> None:
-    corpus = load_corpus(args.input, format=args.format)
-    validation = load_corpus(args.validation, format=args.format) if args.validation else None
+    corpus = load_nonempty(args.input, args.format)
+    validation = load_nonempty(args.validation, args.format) if args.validation else None
     lora = None
     if args.lora_r is not None:
-        lora = LoraConfig(rank=args.lora_r, alpha=args.lora_alpha if args.lora_alpha is not None else 16.0)
+        alpha = LoraConfig.alpha if args.lora_alpha is None else args.lora_alpha
+        lora = LoraConfig(rank=args.lora_r, alpha=alpha)
     elif args.lora_alpha is not None:
         raise ConfigError("--lora-alpha requires --lora-r")
     train_config = TrainConfig(
@@ -480,7 +494,7 @@ def cmd_evaluate(args, config) -> None:
         where = f"{args.predictions} line {lineno}"
         if "emotion" in record:
             if sentence.emotion is None:
-                raise DataError(f"gold sentence {sentence.id!r} has no emotion label")
+                raise DataError(f"{args.gold}: gold sentence {sentence.id!r} has no emotion label")
             if not isinstance(record["emotion"], str):
                 raise DataError(f"{where}: 'emotion' must be a label string")
             try:
@@ -490,7 +504,7 @@ def cmd_evaluate(args, config) -> None:
             emotion_pairs.append((sentence.emotion, predicted))
         if "mask" in record or "numeric" in record:
             if sentence.trigger_mask is None:
-                raise DataError(f"gold sentence {sentence.id!r} has no trigger mask")
+                raise DataError(f"{args.gold}: gold sentence {sentence.id!r} has no trigger mask")
             n = len(sentence.trigger_mask)
         if "mask" in record:
             mask = record["mask"]
@@ -525,7 +539,7 @@ def cmd_evaluate(args, config) -> None:
 
 def cmd_parse_llm(args, config) -> None:
     input_path = Path(args.input)
-    lines = input_path.read_text(encoding="utf-8").split("\n")
+    lines = list(read_lines(input_path))
     rows = []
     errors = []
     with write_outputs(
@@ -535,7 +549,8 @@ def cmd_parse_llm(args, config) -> None:
         (args.output, lambda p: p.write_text("".join(rows), encoding="utf-8"), {}),
         (sidecar(args.output, "errors.jsonl"), lambda p: write_jsonl(errors, p), None),
     ):
-        for lineno, line in enumerate(lines, start=1):
+        for lineno, line in lines:
+            line = line.rstrip("\n")
             if not line:
                 continue
             if "\t" not in line:
@@ -553,7 +568,10 @@ def cmd_parse_llm(args, config) -> None:
 
 def cmd_stats(args, config) -> None:
     corpus = load_corpus(args.input, format=args.format)
-    counts = label_distribution(corpus)
+    try:
+        counts = label_distribution(corpus)
+    except ValueError as exc:
+        raise DataError(f"{args.input}: {exc}") from None
     print(json.dumps({label.value: count for label, count in counts.items()}, indent=2))
 
 
@@ -610,15 +628,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--validation")
     p.add_argument("--task", choices=("emotion", "trigger"), required=True)
-    p.add_argument("--lr", type=float, default=2e-4)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch-size", type=int, default=16)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--lora-r", type=int)
     p.add_argument("--lora-alpha", type=float)
-    p.add_argument("--schedule", choices=("constant", "linear"), default="constant")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--weight-decay", type=float, default=0.0)
-    p.add_argument("--feature-dim", type=int, default=2**18)
+    p.add_argument("--schedule", choices=SCHEDULES, default=TrainConfig.schedule)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
+    p.add_argument("--feature-dim", type=int, default=TrainConfig.feature_dim)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_train)
 

@@ -1,6 +1,7 @@
 """Annotated sentence data model, JSONL/TSV corpus I/O, splits, and label statistics."""
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import re
@@ -199,7 +200,8 @@ def sidecar(path: str | Path, kind: str) -> Path:
 def load_corpus(
     path: str | Path, format: str = "jsonl", seen: dict[str, tuple[Path, int]] | None = None
 ) -> Corpus:
-    """Load a corpus file; raises :class:`CorpusFormatError` naming the offending line.
+    """Load a corpus file; raises :class:`CorpusFormatError` naming the file and
+    the offending line (for a TSV sentence's record, the line of its header).
 
     ``seen`` maps each id to the file and line that gave it first; share one
     between calls to require ids unique across several files.
@@ -207,13 +209,21 @@ def load_corpus(
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"input file not found: {path}")
-    seen = {} if seen is None else seen
     if format == "jsonl":
-        sentences = _load_jsonl(path, seen)
+        records = read_jsonl(path)
     elif format == "tsv":
-        sentences = _load_tsv(path, seen)
+        records = _read_tsv(path)
     else:
         raise ValueError(f"unknown format {format!r}")
+    seen = {} if seen is None else seen
+    sentences = []
+    for lineno, record in records:
+        try:
+            sent = _sentence_from_record(record)
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(f"{path}: {exc} at line {lineno}") from None
+        check_new_id(seen, sent.id, path, lineno)
+        sentences.append(sent)
     return Corpus(sentences=sentences)
 
 
@@ -229,18 +239,33 @@ def check_new_id(seen: dict[str, tuple[Path, int]], sid: str, path: Path, lineno
     seen[sid] = (path, lineno)
 
 
+# The code points that the "surrogateescape" error handler decodes a non-UTF-8 byte to.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]").search
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """The line number and text of every line of a text file; a file that is not
+    UTF-8 is a :class:`CorpusFormatError` naming it and its first such line."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            yield from enumerate(handle, start=1)
+    except UnicodeDecodeError as exc:
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+            bad = next((n for n, line in enumerate(handle, start=1) if _ESCAPED_BYTE(line)), "?")
+        raise CorpusFormatError(f"{path} line {bad}: not UTF-8 text: {exc.reason}") from None
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
     """The line number and JSON value of every non-blank line of a file; a
     line that is not JSON is a :class:`CorpusFormatError` naming file and line."""
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path} line {lineno}: invalid JSON: {exc.msg}") from None
-            yield lineno, record
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusFormatError(f"{path} line {lineno}: invalid JSON: {exc.msg}") from None
+        yield lineno, record
 
 
 # What ``json.dumps(record, ensure_ascii=False)`` builds on every call.
@@ -254,91 +279,46 @@ def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
             handle.write(_ENCODE(record) + "\n")
 
 
-def _load_jsonl(path: Path, seen: dict[str, tuple[Path, int]]) -> list[AnnotatedSentence]:
-    sentences = []
-    for lineno, record in read_jsonl(path):
-        try:
-            sent = _sentence_from_record(record)
-        except CorpusFormatError as exc:
-            raise CorpusFormatError(f"{path}: {exc} at line {lineno}") from None
-        check_new_id(seen, sent.id, path, lineno)
-        sentences.append(sent)
-    return sentences
+_TSV_BOOLEANS = {"true": True, "false": False}
 
 
-def _parse_tsv_header(line: str) -> dict:
-    fields: dict = {}
-    for item in line[1:].split():
-        if "=" not in item:
-            raise CorpusFormatError(f"malformed header item {item!r}")
-        key, value = item.split("=", 1)
-        fields[key] = value
-    unknown = set(fields) - {"id", "lang", "emotion", "origin", "bilingual"}
-    if unknown:
-        raise CorpusFormatError(f"unknown header field {sorted(unknown)[0]!r}")
-    for req in ("id", "lang", "origin"):
-        if req not in fields:
-            raise CorpusFormatError(f"missing header field {req!r}")
-    return fields
+def _read_tsv(path: Path) -> Iterator[tuple[int, dict]]:
+    """The header line and record of every sentence of a TSV corpus: the
+    header's fields, ``tokens`` from the rows' first column and, when the rows
+    have two columns, ``mask`` from the second. A row or header item that
+    cannot be read is a :class:`CorpusFormatError` naming the file and line."""
 
+    def error(problem: str, lineno: int) -> CorpusFormatError:
+        return CorpusFormatError(f"{path}: {problem} at line {lineno}")
 
-def _load_tsv(path: Path, seen: dict[str, tuple[Path, int]]) -> list[AnnotatedSentence]:
-    sentences = []
-    header: dict | None = None
-    header_line = 0
-    tokens: list[str] = []
-    mask: list[int] = []
-    mask_seen: bool | None = None
-
-    def flush() -> None:
-        nonlocal header, tokens, mask, mask_seen
-        if header is None:
-            return
-        bilingual = header.get("bilingual", "false")
-        record = {**header, "tokens": tokens, "mask": mask if mask_seen else None,
-                  "bilingual": {"true": True, "false": False}.get(bilingual, bilingual)}
-        try:
-            sent = _sentence_from_record(record)
-        except CorpusFormatError as exc:
-            raise CorpusFormatError(f"{exc} at line {header_line}") from None
-        check_new_id(seen, sent.id, path, header_line)
-        sentences.append(sent)
-        header, tokens, mask, mask_seen = None, [], [], None
-
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                flush()
-                continue
-            if line.startswith("#"):
-                flush()
-                try:
-                    header = _parse_tsv_header(line)
-                except CorpusFormatError as exc:
-                    raise CorpusFormatError(f"{exc} at line {lineno}") from None
-                header_line = lineno
-                continue
-            if header is None:
-                raise CorpusFormatError(f"token row before sentence header at line {lineno}")
-            columns = line.split("\t")
-            if len(columns) == 1:
-                has_mask = False
-            elif len(columns) == 2:
-                has_mask = True
-            else:
-                raise CorpusFormatError(f"expected 1 or 2 columns at line {lineno}")
-            if mask_seen is None:
-                mask_seen = has_mask
-            elif mask_seen != has_mask:
-                raise CorpusFormatError(f"inconsistent mask column at line {lineno}")
-            tokens.append(columns[0])
-            if has_mask:
-                if columns[1] not in ("0", "1"):
-                    raise CorpusFormatError(f"mask value must be 0 or 1 at line {lineno}")
-                mask.append(int(columns[1]))
-    flush()
-    return sentences
+    start, fields, tokens, mask = 0, None, [], []  # the open sentence
+    # A blank line appended to the file's lines closes its last sentence.
+    for lineno, line in itertools.chain(read_lines(path), [(0, "")]):
+        line = line.rstrip("\n")
+        if line.strip() and not line.startswith("#"):
+            if fields is None:
+                raise error("token row before sentence header", lineno)
+            token, *rest = line.split("\t")
+            if len(rest) > 1:
+                raise error("expected 1 or 2 columns", lineno)
+            if rest and rest[0] not in ("0", "1"):
+                raise error("mask value must be 0 or 1", lineno)
+            tokens.append(token)
+            mask.extend(map(int, rest))
+            if mask and len(mask) != len(tokens):
+                raise error("inconsistent mask column", lineno)
+            continue
+        if fields is not None:
+            # Header values are strings: a header's tokens or mask fails the record checks.
+            yield start, {"tokens": tokens, "mask": mask or None, **fields}
+        start, fields, tokens, mask = lineno, None, [], []
+        if line.startswith("#"):
+            items = [item.partition("=") for item in line[1:].split()]
+            for key, equals, _ in items:
+                if not equals:
+                    raise error(f"malformed header item {key!r}", lineno)
+            fields = {key: _TSV_BOOLEANS.get(value, value) if key == "bilingual" else value
+                      for key, _, value in items}
 
 
 def save_corpus(corpus: Corpus, path: str | Path, format: str = "jsonl") -> None:
@@ -352,6 +332,7 @@ def save_corpus(corpus: Corpus, path: str | Path, format: str = "jsonl") -> None
 
 
 def _save_tsv(corpus: Corpus, path: str | Path) -> None:
+    """Write each sentence's record as a header of its fields and one row per token."""
     lines: list[str] = []
     for sent in corpus.sentences:
         for value in (sent.id, sent.language):
@@ -360,18 +341,15 @@ def _save_tsv(corpus: Corpus, path: str | Path) -> None:
         for tok in sent.tokens:
             if "\t" in tok or "\n" in tok:
                 raise CorpusFormatError(f"token contains delimiter: {tok!r}")
-        header = f"# id={sent.id} lang={sent.language}"
-        if sent.emotion is not None:
-            header += f" emotion={sent.emotion.value}"
-        header += f" origin={sent.origin.value}"
-        if sent.bilingual:
-            header += " bilingual=true"
-        lines.append(header)
-        for i, tok in enumerate(sent.tokens):
-            if sent.trigger_mask is not None:
-                lines.append(f"{tok}\t{sent.trigger_mask[i]}")
-            else:
-                lines.append(tok)
+        record = _sentence_to_record(sent)
+        tokens, mask = record.pop("tokens"), record.pop("mask", None)
+        if "bilingual" in record:  # present only when true
+            record["bilingual"] = "true"
+        lines.append("# " + " ".join(f"{key}={value}" for key, value in record.items()))
+        if mask is None:
+            lines.extend(tokens)
+        else:
+            lines.extend(f"{tok}\t{m}" for tok, m in zip(tokens, mask, strict=True))
         lines.append("")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines))
@@ -403,7 +381,7 @@ def label_distribution(corpus: Corpus) -> dict[EmotionLabel, int]:
     """Count sentences per emotion label; every label appears as a key."""
     missing = [s.id for s in corpus.sentences if s.emotion is None]
     if missing:
-        raise ValueError(f"sentences missing emotion label: {missing}")
+        raise ValueError(f"{len(missing)} sentences missing emotion label: {missing[:5]}")
     counts = {label: 0 for label in EMOTION_ORDER}
     for sent in corpus.sentences:
         counts[sent.emotion] += 1

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import os
 import shutil
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,9 +399,12 @@ class TestCommands:
         assert err.startswith("data error: ") and str(culprit) in err and "Traceback" not in err
 
     def test_console_entry_point(self):
+        src = str(Path(cli.__file__).parents[1])  # importable without an install
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         result = subprocess.run(
             [sys.executable, "-m", "xlproject", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert result.returncode == 0
         assert "split" in result.stdout
@@ -1010,7 +1015,55 @@ BAD_INPUT_CASES = {
     "evaluate-kind-gold-lacks": (["evaluate", "--gold", "{tmp}/unlabelled.jsonl",
                                   "--predictions", "{tmp}/u_pred.jsonl",
                                   "--output", "{tmp}/out/report.json"], EXIT_DATA,
-                                 "gold sentence 'u-1' has no emotion label"),
+                                 "{tmp}/unlabelled.jsonl: gold sentence 'u-1' has no emotion label"),
+    "evaluate-gold-lacks-mask": (["evaluate", "--gold", "{tmp}/u.jsonl",
+                                  "--predictions", "{tmp}/u_mask.jsonl",
+                                  "--output", "{tmp}/out/report.json"], EXIT_DATA,
+                                 "{tmp}/u.jsonl: gold sentence 'u-1@es' has no trigger mask"),
+    "split-empty": (["split", "--input", "{tmp}/empty.jsonl", "--output-train", "{tmp}/out/t.jsonl",
+                     "--output-validation", "{tmp}/out/v.jsonl"], EXIT_DATA,
+                    "data error: {tmp}/empty.jsonl: the corpus is empty"),
+    "train-empty-input": (["train", "--input", "{tmp}/empty.jsonl", "--task", "trigger",
+                           "--output", "{tmp}/out/model.npz"], EXIT_DATA,
+                          "data error: {tmp}/empty.jsonl: the corpus is empty"),
+    "train-empty-validation-emotion": (
+        ["train", "--input", "{tmp}/d_s.jsonl", "--validation", "{tmp}/empty.jsonl",
+         "--task", "emotion", "--output", "{tmp}/out/model.npz"], EXIT_DATA,
+        "data error: {tmp}/empty.jsonl: the corpus is empty"),
+    "train-empty-validation-trigger": (
+        ["train", "--input", "{tmp}/d_s.jsonl", "--validation", "{tmp}/empty.jsonl",
+         "--task", "trigger", "--output", "{tmp}/out/model.npz"], EXIT_DATA,
+        "data error: {tmp}/empty.jsonl: the corpus is empty"),
+    "combine-without-d-s": (["combine", "--combine", "D_T", "--d-t", "{tmp}/d_s.jsonl",
+                             "--output", "{tmp}/out/all.jsonl"], EXIT_CONFIG,
+                            "configuration error: --combine 'D_T': every combination must "
+                            "include D_S"),
+    "combine-unknown-tag": (["combine", "--combine", "D_S+D_X", "--d-s", "{tmp}/d_s.jsonl",
+                             "--output", "{tmp}/out/all.jsonl"], EXIT_CONFIG,
+                            "configuration error: --combine 'D_S+D_X': unknown origin tag 'D_X'"),
+    "combine-no-tag": (["combine", "--combine", " + ", "--d-s", "{tmp}/d_s.jsonl",
+                        "--output", "{tmp}/out/all.jsonl"], EXIT_CONFIG,
+                       "configuration error: --combine ' + ': empty combination string"),
+    "stats-missing-emotion": (["stats", "--input", "{tmp}/seven.jsonl"], EXIT_DATA,
+                              "data error: {tmp}/seven.jsonl: 7 sentences missing emotion label: "
+                              "['n0', 'n1', 'n2', 'n3', 'n4']\n"),
+    "stats-tsv-record": (["stats", "--format", "tsv", "--input", "{tmp}/bad_mask.tsv"], EXIT_DATA,
+                         "data error: {tmp}/bad_mask.tsv: mask value must be 0 or 1 at line 3"),
+    # Each input below has a Latin-1 byte on its second line.
+    "not-utf8-corpus": (["stats", "--input", "{tmp}/latin1.jsonl"], EXIT_DATA,
+                        "data error: {tmp}/latin1.jsonl line 2: not UTF-8 text"),
+    "not-utf8-tsv": (["stats", "--format", "tsv", "--input", "{tmp}/latin1.tsv"], EXIT_DATA,
+                     "data error: {tmp}/latin1.tsv line 2: not UTF-8 text"),
+    "not-utf8-predictions": (["evaluate", "--gold", "{tmp}/unlabelled.jsonl",
+                              "--predictions", "{tmp}/latin1.jsonl",
+                              "--output", "{tmp}/out/report.json"], EXIT_DATA,
+                             "data error: {tmp}/latin1.jsonl line 2: not UTF-8 text"),
+    "not-utf8-pairs": (["switch", "--source", "{tmp}/d_s.jsonl", "--target", "{tmp}/u.jsonl",
+                        "--output-st", "{tmp}/out/st.jsonl", "--output-ts", "{tmp}/out/ts.jsonl"],
+                       EXIT_DATA, "data error: {tmp}/u.jsonl.pairs.jsonl line 2: not UTF-8 text"),
+    "not-utf8-parse-llm": (["parse-llm", "--input", "{tmp}/latin1.jsonl",
+                            "--output", "{tmp}/out/labels.tsv"], EXIT_DATA,
+                           "data error: {tmp}/latin1.jsonl line 2: not UTF-8 text"),
     # split_train_validation is made to raise: a bug, not a bad input.
     "internal-error": (SPLIT, EXIT_INTERNAL, "RuntimeError: split_train_validation broke"),
 }
@@ -1028,6 +1081,18 @@ def bad_input_files(tmp_path):
     (tmp_path / "unlabelled.jsonl").write_text(
         '{"id": "u-1", "lang": "en", "tokens": ["hi"], "mask": [0], "origin": "D_S"}\n')
     (tmp_path / "u_pred.jsonl").write_text('{"id": "u-1", "emotion": "Joy"}\n')
+    (tmp_path / "u_mask.jsonl").write_text('{"id": "u-1@es", "mask": [0]}\n')
+    (tmp_path / "empty.jsonl").write_text("")
+    (tmp_path / "seven.jsonl").write_text("".join(
+        f'{{"id": "n{i}", "lang": "en", "tokens": ["hi"], "origin": "D_S"}}\n' for i in range(7)))
+    (tmp_path / "bad_mask.tsv").write_text("# id=a lang=en origin=D_S\nhi\t0\nthere\t2\n")
+    (tmp_path / "latin1.jsonl").write_bytes(
+        b'{"id": "a", "lang": "en", "tokens": ["x"], "origin": "D_S"}\n{"id": "caf\xe9"}\n')
+    (tmp_path / "latin1.tsv").write_bytes(b"# id=a lang=en origin=D_S\ncaf\xe9\n")
+    # switch reads the target's span alignments from <target>.pairs.jsonl.
+    (tmp_path / "u.jsonl").write_text(
+        '{"id": "u-1@es", "lang": "es", "tokens": ["hola"], "origin": "D_T"}\n')
+    shutil.copy(tmp_path / "latin1.jsonl", tmp_path / "u.jsonl.pairs.jsonl")
     return tmp_path
 
 
@@ -1045,6 +1110,55 @@ def test_documented_bad_input_exit_code(bad_input_files, capsys, monkeypatch, ca
     assert fragment.format(tmp=tmp) in captured.out + captured.err
     assert ("Traceback" in captured.err) == (code == EXIT_INTERNAL)
     assert (tmp / "out").exists() == (code == EXIT_OK)
+
+
+@pytest.mark.parametrize("case", [case for case in BAD_INPUT_CASES if case.startswith("train-")])
+def test_bad_train_input_is_rejected_before_training(bad_input_files, monkeypatch, case):
+    argv, code, _ = BAD_INPUT_CASES[case]
+    trained = []
+    monkeypatch.setattr(cli, "train", lambda *args, **kwargs: trained.append(args))
+    assert main([arg.format(tmp=bad_input_files) for arg in argv]) == code
+    assert trained == []
+
+
+@dataclasses.dataclass
+class OtherTrainDefaults(TrainConfig):
+    lr: float = 2e-5
+    batch_size: int = 3
+    epochs: int = 3
+    seed: int = 9
+    schedule: str = "linear"
+    weight_decay: float = 0.5
+    feature_dim: int = 2**10
+
+
+@dataclasses.dataclass
+class OtherLoraDefaults(LoraConfig):
+    alpha: float = 4.0
+
+
+@pytest.mark.parametrize("train_config, lora_config", [
+    (TrainConfig, LoraConfig), (OtherTrainDefaults, OtherLoraDefaults)], ids=["ours", "other"])
+@pytest.mark.parametrize("lora_flags", [[], ["--lora-r", "2", "--epochs", "4"]],
+                         ids=["plain", "lora"])
+def test_train_flag_defaults_are_the_config_defaults(bad_input_files, monkeypatch, train_config,
+                                                     lora_config, lora_flags):
+    # The flags take every default from the config classes, whatever those are.
+    monkeypatch.setattr(cli, "TrainConfig", train_config)
+    monkeypatch.setattr(cli, "LoraConfig", lora_config)
+    configs = []
+
+    def record_and_stop(corpus, task, config, validation=None):
+        configs.append(config)
+        raise cli.DataError("stop before training")
+
+    monkeypatch.setattr(cli, "train", record_and_stop)
+    main(["train", "--input", str(bad_input_files / "d_s.jsonl"), "--task", "trigger",
+          "--output", str(bad_input_files / "out" / "model.npz")] + lora_flags)
+    want = train_config()
+    if lora_flags:
+        want = dataclasses.replace(want, lora=lora_config(rank=2), epochs=4)
+    assert configs == [want]
 
 
 class TestPipeline:

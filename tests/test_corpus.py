@@ -167,6 +167,37 @@ class TestSaveCorpus:
         assert "emotion" not in record
         assert load_corpus(path).sentences[0].emotion is None
 
+    def test_tsv_and_jsonl_text_is_pinned(self, tmp_path):
+        sentences = [
+            make_sentence(1),
+            make_sentence(2, tokens=("hello", "world"), mask=None, emotion=None),
+            AnnotatedSentence(id="s3@es", tokens=["te", "quiero"], language="es",
+                              origin=DatasetTag.D_ST, emotion=EmotionLabel.LOVE,
+                              trigger_mask=[0, 1], bilingual=True),
+            AnnotatedSentence(id="s4@es", tokens=["hola"], language="es",
+                              origin=DatasetTag.D_TS, bilingual=True),
+        ]
+        corpus = Corpus(sentences=sentences)
+        save_corpus(corpus, tmp_path / "c.tsv", format="tsv")
+        save_corpus(corpus, tmp_path / "c.jsonl")
+        assert (tmp_path / "c.tsv").read_bytes() == (
+            "# id=s1 lang=en emotion=Joy origin=D_S\nI\t0\nlove\t1\nyou\t0\n\n"
+            "# id=s2 lang=en origin=D_S\nhello\nworld\n\n"
+            "# id=s3@es lang=es emotion=Love origin=D_St bilingual=true\nte\t0\nquiero\t1\n\n"
+            "# id=s4@es lang=es origin=D_Ts bilingual=true\nhola\n"
+        ).encode()
+        assert (tmp_path / "c.jsonl").read_bytes() == (
+            '{"id": "s1", "lang": "en", "tokens": ["I", "love", "you"], "emotion": "Joy", '
+            '"mask": [0, 1, 0], "origin": "D_S"}\n'
+            '{"id": "s2", "lang": "en", "tokens": ["hello", "world"], "origin": "D_S"}\n'
+            '{"id": "s3@es", "lang": "es", "tokens": ["te", "quiero"], "emotion": "Love", '
+            '"mask": [0, 1], "origin": "D_St", "bilingual": true}\n'
+            '{"id": "s4@es", "lang": "es", "tokens": ["hola"], "origin": "D_Ts", '
+            '"bilingual": true}\n'
+        ).encode()
+        for name, format in (("c.tsv", "tsv"), ("c.jsonl", "jsonl")):
+            assert load_corpus(tmp_path / name, format=format) == corpus
+
     def test_tsv_token_with_tab_rejected(self, tmp_path):
         bad = AnnotatedSentence(
             id="a", tokens=["x\ty"], language="en", origin=DatasetTag.D_S
@@ -434,3 +465,46 @@ class TestRecordValueTypes:
         path.write_text("# id=a lang=en origin=D_S\nx\n\n# id=b lang=en origin=D_X\ny\n")
         with pytest.raises(CorpusFormatError, match="unknown origin tag 'D_X'.* at line 4"):
             load_corpus(path, format="tsv")
+
+
+# A well-formed first sentence (lines 1-3), so each error below is on line 4 or 5.
+TSV_GOOD = "# id=g lang=en origin=D_S\nok\n\n"
+
+
+@pytest.mark.parametrize("text, problem, line", [
+    ("x\n", "token row before sentence header", 4),
+    ("# id=a lang=en origin=D_S\nx\t0\t1\n", "expected 1 or 2 columns", 5),
+    ("# id=a lang=en origin=D_S\nx\t0\ny\n", "inconsistent mask column", 6),
+    ("# id=a lang=en origin=D_S\nx\ny\t1\n", "inconsistent mask column", 6),
+    ("# id=a lang=en origin=D_S\nx\t2\n", "mask value must be 0 or 1", 5),
+    ("# id=a lang=en origin=D_S foo\nx\n", "malformed header item 'foo'", 4),
+    ("# id=a lang=en origin=D_S foo=1\nx\n", "unknown field 'foo'", 4),
+    ("# id=a lang=en\nx\n", "missing field 'origin'", 4),
+    ("# id=a lang=en origin=D_S tokens=x\nx\n", "field 'tokens' must be a list of strings", 4),
+    ("# id=a lang=en origin=D_S mask=0\nx\t0\n", "field 'mask' must be a list of 0/1 integers", 4),
+    ("# id=a lang=en origin=D_S\n", "tokens must be non-empty", 4),
+    ("# id=a lang=es origin=D_S\nx\n", "D_S sentences must have language 'en'", 4),
+], ids=["row-before-header", "three-columns", "mask-then-none", "none-then-mask", "mask-2",
+        "malformed-item", "unknown-item", "missing-field", "header-tokens", "header-mask",
+        "no-rows", "bad-record"])
+def test_tsv_error_names_file_and_line(tmp_path, text, problem, line):
+    path = tmp_path / "c.tsv"
+    path.write_text(TSV_GOOD + text)
+    with pytest.raises(CorpusFormatError) as info:
+        load_corpus(path, format="tsv")
+    assert str(info.value) == f"{path}: {problem} at line {line}"
+
+
+@pytest.mark.parametrize("format, good", [
+    ("jsonl", '{{"id": "a{}", "lang": "en", "tokens": ["x"], "origin": "D_S"}}\n'),
+    ("tsv", "# id=a{} lang=en origin=D_S\nx\n\n"),
+], ids=["jsonl", "tsv"])
+@pytest.mark.parametrize("before", [1, 3000], ids=["first-chunk", "later-chunk"])
+def test_text_that_is_not_utf8_names_file_and_line(tmp_path, format, good, before):
+    path = tmp_path / f"c.{format}"
+    text = "".join(map(good.format, range(before)))
+    path.write_bytes(text.encode() + b"caf\xe9\n")
+    with pytest.raises(CorpusFormatError) as info:
+        load_corpus(path, format=format)
+    line = text.count("\n") + 1
+    assert str(info.value) == f"{path} line {line}: not UTF-8 text: invalid continuation byte"

@@ -28,3 +28,13 @@ def test_scripts_generate_a_corpus_and_run_the_pipeline(tmp_path):
     assert result.returncode == 0, result.stderr
     report = json.loads((workdir / "report.json").read_text())
     assert 0.0 <= report["token_f1"] <= 1.0
+
+
+def test_pytest_imports_the_package_from_a_checkout_without_an_install():
+    paths = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in paths if p and Path(p).resolve() != ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+         "tests/test_corpus.py"], cwd=ROOT, capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stdout + result.stderr
