@@ -53,6 +53,7 @@ from .metrics import build_report, normalize_attributions, normalize_each  # noq
 from .projection import MarkerScheme, project_corpus
 from .training import (
     SCHEDULES,
+    TASKS,
     LoraConfig,
     MissingLabelsError,
     TrainConfig,
@@ -117,39 +118,42 @@ def parse_llm_response(text: str) -> EmotionLabel:
 # configuration and provenance plumbing
 
 _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+BACKENDS = ("identity", "mock", "remote")
 
 
-def load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    config_path = Path(path)
-    if not config_path.exists():
-        raise ConfigError(f"config file not found: {path}")
+CONFIG_SETTINGS = ("mt.backend", "mt.endpoint", "mt.parallelism", "mt.mock_dictionary",
+                   "mt.mock_drop_tokens", "paths.cache_dir")
+
+
+def load_config_file(path: str) -> dict:
+    """The settings of a YAML config file by their dotted names, those of CONFIG_SETTINGS."""
     try:
-        loaded = yaml.load(config_path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
+        loaded = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_YAML_LOADER)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
     except (UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if loaded is None:
         return {}
     if not isinstance(loaded, dict):
         raise ConfigError(f"{path}: config file must contain a mapping")
-    return loaded
+    settings = {}
+    for section, values in loaded.items():
+        if not isinstance(values, dict):
+            raise ConfigError(f"{path}: section {section} must be a mapping")
+        for key, value in values.items():
+            name = f"{section}.{key}"
+            if name not in CONFIG_SETTINGS:
+                raise ConfigError(f"{path}: unknown setting {name}")
+            settings[name] = value
+    return settings
 
 
-def config_get(config: dict, dotted: str, default=None):
-    node = config
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return default
-        node = node[part]
-    return node
-
-
-def resolve(flag_value, config: dict, dotted: str, default=None):
+def resolve(flag_value, config: dict, name: str, default=None):
     """Precedence: explicit flag > config file > default."""
     if flag_value is not None:
         return flag_value
-    return config_get(config, dotted, default)
+    return config.get(name, default)
 
 
 def file_sha256(path: Path) -> str:
@@ -229,15 +233,14 @@ def make_backend(name: str, config: dict):
     if name == "identity":
         return IdentityBackend()
     if name == "mock":
-        mapping = config_get(config, "mt.mock_dictionary", {}) or {}
-        drop = config_get(config, "mt.mock_drop_tokens", []) or []
-        return DictionaryBackend(mapping=dict(mapping), drop_tokens=frozenset(drop))
+        return DictionaryBackend(mapping=config.get("mt.mock_dictionary", {}),
+                                 drop_tokens=frozenset(config.get("mt.mock_drop_tokens", ())))
     if name == "remote":
-        endpoint = config_get(config, "mt.endpoint")
+        endpoint = config.get("mt.endpoint")
         if not endpoint:
             raise ConfigError("remote backend needs mt.endpoint in the config file")
         return RemoteHttpBackend(endpoint)
-    raise ConfigError(f"unknown backend {name!r}; expected identity, mock, or remote")
+    raise ConfigError(f"unknown backend {name!r}; expected one of {', '.join(BACKENDS)}")
 
 
 def parse_scheme(text: str | None) -> MarkerScheme:
@@ -264,7 +267,7 @@ def load_nonempty(path: str, format: str) -> Corpus:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_split(args, config) -> None:
+def cmd_split(args) -> None:
     if not 0.0 < args.fraction < 1.0:
         raise ConfigError(f"--fraction must be in (0, 1), got {args.fraction}")
     corpus = load_nonempty(args.input, args.format)
@@ -294,7 +297,8 @@ def cmd_split(args, config) -> None:
     print(f"split {len(corpus)} -> {len(train_corpus)} train + {len(val_corpus)} validation")
 
 
-def cmd_project(args, config) -> None:
+def cmd_project(args) -> None:
+    config = {} if args.config is None else load_config_file(args.config)
     for flag, value in (("--src", args.src), ("--tgt", args.tgt)):
         if value not in LANGUAGES:
             raise ConfigError(f"{flag} must be one of {LANGUAGES}, got {value!r}")
@@ -351,7 +355,7 @@ def cmd_project(args, config) -> None:
     )
 
 
-def cmd_switch(args, config) -> None:
+def cmd_switch(args) -> None:
     source = load_corpus(args.source, format=args.format)
     target = load_corpus(args.target, format=args.format)
     pairs_path = sidecar(args.target, "pairs.jsonl")
@@ -369,7 +373,7 @@ def cmd_switch(args, config) -> None:
     print(f"switched {len(pairs)} pairs")
 
 
-def cmd_combine(args, config) -> None:
+def cmd_combine(args) -> None:
     try:
         spec = CombinationSpec.parse(args.combine)
     except ValueError as exc:  # a bad origin tag, no D_S, or no tag at all
@@ -401,7 +405,7 @@ def cmd_combine(args, config) -> None:
     print(f"combined {str(spec)} -> {len(combined)} sentences")
 
 
-def cmd_train(args, config) -> None:
+def cmd_train(args) -> None:
     corpus = load_nonempty(args.input, args.format)
     validation = load_nonempty(args.validation, args.format) if args.validation else None
     lora = None
@@ -446,7 +450,7 @@ def cmd_train(args, config) -> None:
     print(f"trained {args.task} model: {json.dumps(last)}")
 
 
-def cmd_predict(args, config) -> None:
+def cmd_predict(args) -> None:
     trained = load_model(args.model)
     corpus = load_corpus(args.input, format=args.format)
     provenance = build_provenance("predict", {"task": trained.task, "format": args.format},
@@ -465,7 +469,7 @@ def _finite_numbers(values, length: int) -> bool:
         return False
 
 
-def cmd_evaluate(args, config) -> None:
+def cmd_evaluate(args) -> None:
     gold = load_corpus(args.gold, format=args.format)
     predictions_path = Path(args.predictions)
     by_id: dict[str, tuple[int, dict]] = {}
@@ -537,7 +541,7 @@ def cmd_evaluate(args, config) -> None:
     print(json.dumps(report.to_json_dict()))
 
 
-def cmd_parse_llm(args, config) -> None:
+def cmd_parse_llm(args) -> None:
     input_path = Path(args.input)
     lines = list(read_lines(input_path))
     rows = []
@@ -566,7 +570,7 @@ def cmd_parse_llm(args, config) -> None:
     print(f"parsed {len(rows)} labels ({len(errors)} errors)")
 
 
-def cmd_stats(args, config) -> None:
+def cmd_stats(args) -> None:
     corpus = load_corpus(args.input, format=args.format)
     try:
         counts = label_distribution(corpus)
@@ -585,7 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=EXIT_CODE_HELP,
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="YAML configuration file")
     common.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -600,7 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", parents=[common], help="mark, translate, and project labels")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--backend", choices=("identity", "mock", "remote"))
+    p.add_argument("--config", help="YAML configuration file of the translation settings")
+    p.add_argument("--backend", choices=BACKENDS)
     p.add_argument("--src", default="en")
     p.add_argument("--tgt", required=True)
     p.add_argument("--scheme", help="JSON list of [open, close] pairs, inline or a file path")
@@ -627,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[common], help="train a classifier head")
     p.add_argument("--input", required=True)
     p.add_argument("--validation")
-    p.add_argument("--task", choices=("emotion", "trigger"), required=True)
+    p.add_argument("--task", choices=TASKS, required=True)
     p.add_argument("--lr", type=float, default=TrainConfig.lr)
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
@@ -653,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--confusion-csv")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("parse-llm", parents=[common], help="parse 'Label: X' LLM responses")
+    p = sub.add_parser("parse-llm", help="parse 'Label: X' LLM responses")
     p.add_argument("--input", required=True, help="TSV file: id<TAB>raw response")
     p.add_argument("--output", required=True)
     p.add_argument("--fallback-neutral", action="store_true")
@@ -670,8 +674,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config_file(args.config)
-        args.func(args, config)
+        args.func(args)
     except (ConfigError, TrainConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -5,24 +5,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamWState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     scratch: dict[str, np.ndarray] = field(default_factory=dict)  # work arrays, reused
 
     @classmethod
-    def init(cls, params: dict[str, np.ndarray], **kwargs) -> AdamWState:
+    def init(cls, params: dict[str, np.ndarray]) -> AdamWState:
         return cls(
             m={k: np.zeros_like(p) for k, p in params.items()},
             v={k: np.zeros_like(p) for k, p in params.items()},
             scratch={k: np.empty_like(p) for k, p in params.items()},
-            **kwargs,
         )
 
 
@@ -59,8 +59,8 @@ def adamw_step(
         columns[key] = cols, values
     state.step += 1
     t = state.step
-    bias1 = 1.0 - state.beta1**t
-    bias2 = 1.0 - state.beta2**t
+    bias1 = 1.0 - BETA1**t
+    bias2 = 1.0 - BETA2**t
     updated: dict[str, np.ndarray] = {}
     for key, theta in params.items():
         cols, values = columns[key]
@@ -71,15 +71,15 @@ def adamw_step(
         # Elsewhere the dense form would add +0.0, which changes nothing:
         # beta * m is never -0.0, since both moments start at +0.0, a sum is
         # -0.0 only when both terms are, and the v term is never negative.
-        m *= state.beta1
-        m[..., cols] += np.multiply(1.0 - state.beta1, values)
-        v *= state.beta2
-        term = np.multiply(1.0 - state.beta2, values)
+        m *= BETA1
+        m[..., cols] += np.multiply(1.0 - BETA1, values)
+        v *= BETA2
+        term = np.multiply(1.0 - BETA2, values)
         term *= values
         v[..., cols] += term
         denom = np.divide(v, bias2, out=scratch)
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += EPS
         step = np.divide(m, bias1)
         step /= denom
         # At weight_decay 0 the term would add a signed zero, which changes no

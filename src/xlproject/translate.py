@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Protocol
 
 API_KEY_ENV = "XLPROJECT_MT_API_KEY"
+REQUEST_TIMEOUT_S = 30.0
 # Upper bound on concurrent translation requests, so no configuration can ask
 # for one thread per pending text.
 MAX_PARALLELISM = 64
@@ -67,12 +68,11 @@ class DictionaryBackend:
 class RemoteHttpBackend:
     """Generic JSON-over-HTTP translator: POST {q, source, target} -> {translatedText}."""
 
-    def __init__(self, endpoint: str, api_key: str | None = None, timeout: float = 30.0):
+    def __init__(self, endpoint: str):
         import requests
 
         self.endpoint = endpoint
-        self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
-        self.timeout = timeout
+        self.api_key = os.environ.get(API_KEY_ENV)
         self.backend_id = f"remote:{endpoint}"
         self._session = requests.Session()
 
@@ -80,7 +80,7 @@ class RemoteHttpBackend:
         payload = {"q": text, "source": src, "target": tgt}
         if self.api_key:
             payload["api_key"] = self.api_key
-        response = self._session.post(self.endpoint, json=payload, timeout=self.timeout)
+        response = self._session.post(self.endpoint, json=payload, timeout=REQUEST_TIMEOUT_S)
         response.raise_for_status()
         body = response.json()
         if "translatedText" not in body:

@@ -751,15 +751,25 @@ class TestMalformedInputs:
         save_corpus(synthetic_corpus(2, seed=1), tmp_path / "ds.jsonl")
         config = tmp_path / "conf.yaml"
         config.write_bytes(content)
-        assert main(["stats", "--input", str(tmp_path / "ds.jsonl"), "--config", str(config)]) == (
-            EXIT_CONFIG)
+        assert main(["project", "--input", str(tmp_path / "ds.jsonl"), "--tgt", "es",
+                     "--output", str(tmp_path / "o.jsonl"), "--config", str(config)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {config}: ") and "Traceback" not in err
 
     def test_config_loads_like_the_safe_loader(self, tmp_path):
-        text = "mt:\n  backend: mock\n  parallelism: 2\n  mock_dictionary: {a: b, 'yes': no}\n"
+        text = "mt:\n  backend: mock\n  parallelism: 2\n  mock_dictionary: {a: b, 'yes': 'no'}\n"
         (tmp_path / "conf.yaml").write_text(text)
-        assert cli.load_config_file(str(tmp_path / "conf.yaml")) == yaml.safe_load(text)
+        assert cli.load_config_file(str(tmp_path / "conf.yaml")) == {
+            f"mt.{key}": value for key, value in yaml.safe_load(text)["mt"].items()}
+
+    @pytest.mark.parametrize("command", ["split", "project", "switch", "combine", "train",
+                                         "predict", "evaluate", "parse-llm", "stats"])
+    def test_only_project_takes_a_config_file(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        options = capsys.readouterr().out
+        assert ("--config" in options) == (command == "project")
+        assert ("--format" in options) == (command != "parse-llm")
 
     @pytest.mark.parametrize("field, value, problem", [
         ("mask", [True, 0, 0], "field 'mask' must be a list of 0/1 integers"),
@@ -980,10 +990,14 @@ SPLIT = ["split", "--input", "{tmp}/d_s.jsonl", "--output-train", "{tmp}/out/t.j
          "--output-validation", "{tmp}/out/v.jsonl"]
 PROJECT = ["project", "--input", "{tmp}/d_s.jsonl", "--output", "{tmp}/out/d_t.jsonl"]
 BAD_INPUT_CASES = {
-    "config-missing": (SPLIT + ["--config", "{tmp}/nope.yaml"], EXIT_CONFIG,
+    "config-missing": (PROJECT + ["--tgt", "es", "--config", "{tmp}/nope.yaml"], EXIT_CONFIG,
                        "config file not found: {tmp}/nope.yaml"),
-    "config-not-a-mapping": (SPLIT + ["--config", "{tmp}/list.yaml"], EXIT_CONFIG,
-                             "{tmp}/list.yaml: config file must contain a mapping"),
+    "config-not-a-mapping": (PROJECT + ["--tgt", "es", "--config", "{tmp}/list.yaml"],
+                             EXIT_CONFIG, "{tmp}/list.yaml: config file must contain a mapping"),
+    "config-unknown-setting": (PROJECT + ["--tgt", "es", "--config", "{tmp}/typo.yaml"],
+                               EXIT_CONFIG, "{tmp}/typo.yaml: unknown setting mt.paralelism"),
+    "config-section-not-a-mapping": (PROJECT + ["--tgt", "es", "--config", "{tmp}/mt_list.yaml"],
+                                     EXIT_CONFIG, "{tmp}/mt_list.yaml: section mt must be a mapping"),
     "remote-without-endpoint": (PROJECT + ["--tgt", "es", "--config", "{tmp}/remote.yaml"],
                                 EXIT_CONFIG, "remote backend needs mt.endpoint"),
     "unknown-backend": (PROJECT + ["--tgt", "es", "--config", "{tmp}/pigeon.yaml"], EXIT_CONFIG,
@@ -1074,6 +1088,8 @@ def bad_input_files(tmp_path):
     corpus = synthetic_corpus(6, seed=1)
     save_corpus(corpus, tmp_path / "d_s.jsonl")
     (tmp_path / "list.yaml").write_text("- mt\n")
+    (tmp_path / "typo.yaml").write_text("mt:\n  paralelism: 4\n")
+    (tmp_path / "mt_list.yaml").write_text("mt: [1]\n")
     (tmp_path / "remote.yaml").write_text("mt:\n  backend: remote\n")
     (tmp_path / "pigeon.yaml").write_text("mt:\n  backend: pigeon\n")
     (tmp_path / "scheme.json").write_text('[["<<", ">>"]]')
