@@ -52,6 +52,7 @@ from .corpus import (
 from .metrics import build_report, normalize_attributions, normalize_each  # noqa: F401
 from .projection import MarkerScheme, project_corpus
 from .training import (
+    MAX_ADAPTER_EPOCHS,
     SCHEDULES,
     TASKS,
     LoraConfig,
@@ -121,8 +122,21 @@ _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 BACKENDS = ("identity", "mock", "remote")
 
 
-CONFIG_SETTINGS = ("mt.backend", "mt.endpoint", "mt.parallelism", "mt.mock_dictionary",
-                   "mt.mock_drop_tokens", "paths.cache_dir")
+def _strings(values) -> bool:
+    return all(isinstance(value, str) for value in values)
+
+
+# Each setting a config file may hold, by dotted name: what its value must be, and the test.
+CONFIG_SETTINGS = {
+    "mt.backend": ("a string", lambda value: isinstance(value, str)),
+    "mt.endpoint": ("a string", lambda value: isinstance(value, str)),
+    "mt.parallelism": (f"an integer from 1 to {MAX_PARALLELISM}", lambda value: type(value) is int),
+    "mt.mock_dictionary": ("a mapping of strings to strings", lambda value: (
+        isinstance(value, dict) and _strings(value) and _strings(value.values()))),
+    "mt.mock_drop_tokens": ("a list of strings",
+                            lambda value: isinstance(value, list) and _strings(value)),
+    "paths.cache_dir": ("a string", lambda value: isinstance(value, str)),
+}
 
 
 def load_config_file(path: str) -> dict:
@@ -145,6 +159,9 @@ def load_config_file(path: str) -> dict:
             name = f"{section}.{key}"
             if name not in CONFIG_SETTINGS:
                 raise ConfigError(f"{path}: unknown setting {name}")
+            must_be, valid = CONFIG_SETTINGS[name]
+            if not valid(value):
+                raise ConfigError(f"{path}: {name} must be {must_be}")
             settings[name] = value
     return settings
 
@@ -314,7 +331,7 @@ def cmd_project(args) -> None:
     if backend_name == "remote" and cache_dir is None:
         raise ConfigError("remote backend requires --cache-dir for reproducibility")
     parallelism = resolve(args.parallelism, config, "mt.parallelism", 1)
-    if type(parallelism) is not int or not 1 <= parallelism <= MAX_PARALLELISM:
+    if not 1 <= parallelism <= MAX_PARALLELISM:
         raise ConfigError(
             f"parallelism must be an integer from 1 to {MAX_PARALLELISM}, got {parallelism!r}"
         )
@@ -414,10 +431,13 @@ def cmd_train(args) -> None:
         lora = LoraConfig(rank=args.lora_r, alpha=alpha)
     elif args.lora_alpha is not None:
         raise ConfigError("--lora-alpha requires --lora-r")
+    epochs = TrainConfig.epochs if args.epochs is None else args.epochs
+    if args.epochs is None and lora is not None:  # the default, up to the adapter's cap
+        epochs = min(epochs, MAX_ADAPTER_EPOCHS)
     train_config = TrainConfig(
         lr=args.lr,
         batch_size=args.batch_size,
-        epochs=args.epochs,
+        epochs=epochs,
         lora=lora,
         seed=args.seed,
         schedule=args.schedule,
@@ -633,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--validation")
     p.add_argument("--task", choices=TASKS, required=True)
     p.add_argument("--lr", type=float, default=TrainConfig.lr)
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--lora-r", type=int)
     p.add_argument("--lora-alpha", type=float)

@@ -341,6 +341,8 @@ def _save_tsv(corpus: Corpus, path: str | Path) -> None:
         for tok in sent.tokens:
             if "\t" in tok or "\n" in tok:
                 raise CorpusFormatError(f"token contains delimiter: {tok!r}")
+            if tok.startswith("#"):
+                raise CorpusFormatError(f"token starts with '#', which marks a header: {tok!r}")
         record = _sentence_to_record(sent)
         tokens, mask = record.pop("tokens"), record.pop("mask", None)
         if "bilingual" in record:  # present only when true

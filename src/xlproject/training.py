@@ -30,6 +30,9 @@ CHECKPOINT_VERSION = 2
 # Bounds on the config: A is (rank x K), and featurizing needs dim-sized tables.
 MAX_LORA_RANK = 1024
 MAX_FEATURE_DIM = 2**24
+# The most epochs a run may train: a plain head, and a head with an adapter.
+MAX_EPOCHS = 30
+MAX_ADAPTER_EPOCHS = 5
 
 
 class TrainConfigError(ValueError):
@@ -61,7 +64,7 @@ class TrainConfig:
             )
         if self.batch_size < 1:
             raise TrainConfigError("batch_size must be >= 1")
-        max_epochs = 5 if self.lora is not None else 30
+        max_epochs = MAX_EPOCHS if self.lora is None else MAX_ADAPTER_EPOCHS
         if not 1 <= self.epochs <= max_epochs:
             raise TrainConfigError(
                 f"epochs must be in [1, {max_epochs}]"

@@ -33,7 +33,14 @@ from xlproject.corpus import (
 )
 from xlproject.projection import spans_from_mask
 from xlproject.synthetic import mock_translation_table, synthetic_corpus
-from xlproject.training import LoraConfig, TrainConfig, load_model, save_model, train
+from xlproject.training import (
+    MAX_ADAPTER_EPOCHS,
+    LoraConfig,
+    TrainConfig,
+    load_model,
+    save_model,
+    train,
+)
 
 
 class TestParseLlmResponse:
@@ -99,6 +106,20 @@ class TestCommands:
         assert code == EXIT_CONFIG
         assert "parallelism must be an integer from 1 to 64" in capsys.readouterr().err
         assert not (tmp_path / "o.jsonl").exists()
+
+    def test_project_rejects_a_tsv_token_starting_with_hash(self, tmp_path, capsys):
+        corpus = synthetic_corpus(4, seed=1)
+        save_corpus(corpus, tmp_path / "ds.tsv", format="tsv")
+        word = corpus.sentences[0].tokens[0]
+        config = tmp_path / "conf.yaml"
+        config.write_text(yaml.safe_dump({"mt": {"mock_dictionary": {word: "#x"}}}))
+        output = tmp_path / "out" / "dt.tsv"
+        code = main(["project", "--format", "tsv", "--input", str(tmp_path / "ds.tsv"),
+                     "--output", str(output), "--tgt", "es", "--backend", "mock",
+                     "--config", str(config)])
+        assert code == EXIT_DATA
+        assert "token starts with '#', which marks a header: '#x'" in capsys.readouterr().err
+        assert not output.exists()
 
     def test_project_rejects_zero_parallelism_flag(self, tmp_path):
         save_corpus(synthetic_corpus(2, seed=1), tmp_path / "ds.jsonl")
@@ -998,6 +1019,22 @@ BAD_INPUT_CASES = {
                                EXIT_CONFIG, "{tmp}/typo.yaml: unknown setting mt.paralelism"),
     "config-section-not-a-mapping": (PROJECT + ["--tgt", "es", "--config", "{tmp}/mt_list.yaml"],
                                      EXIT_CONFIG, "{tmp}/mt_list.yaml: section mt must be a mapping"),
+    # A setting of the wrong type; YAML reads an unquoted no as false.
+    "config-dictionary-not-a-mapping": (
+        PROJECT + ["--tgt", "es", "--config", "{tmp}/dictionary_list.yaml"], EXIT_CONFIG,
+        "{tmp}/dictionary_list.yaml: mt.mock_dictionary must be a mapping of strings to strings"),
+    "config-dictionary-unquoted-no": (
+        PROJECT + ["--tgt", "es", "--config", "{tmp}/dictionary_no.yaml"], EXIT_CONFIG,
+        "{tmp}/dictionary_no.yaml: mt.mock_dictionary must be a mapping of strings to strings"),
+    "config-drop-tokens-not-a-list": (
+        PROJECT + ["--tgt", "es", "--config", "{tmp}/drop_int.yaml"], EXIT_CONFIG,
+        "{tmp}/drop_int.yaml: mt.mock_drop_tokens must be a list of strings"),
+    "config-cache-dir-not-a-string": (
+        PROJECT + ["--tgt", "es", "--config", "{tmp}/cache_int.yaml"], EXIT_CONFIG,
+        "{tmp}/cache_int.yaml: paths.cache_dir must be a string"),
+    "config-endpoint-not-a-string": (
+        PROJECT + ["--tgt", "es", "--config", "{tmp}/endpoint_list.yaml"], EXIT_CONFIG,
+        "{tmp}/endpoint_list.yaml: mt.endpoint must be a string"),
     "remote-without-endpoint": (PROJECT + ["--tgt", "es", "--config", "{tmp}/remote.yaml"],
                                 EXIT_CONFIG, "remote backend needs mt.endpoint"),
     "unknown-backend": (PROJECT + ["--tgt", "es", "--config", "{tmp}/pigeon.yaml"], EXIT_CONFIG,
@@ -1090,6 +1127,11 @@ def bad_input_files(tmp_path):
     (tmp_path / "list.yaml").write_text("- mt\n")
     (tmp_path / "typo.yaml").write_text("mt:\n  paralelism: 4\n")
     (tmp_path / "mt_list.yaml").write_text("mt: [1]\n")
+    (tmp_path / "dictionary_list.yaml").write_text("mt:\n  mock_dictionary: [1, 2]\n")
+    (tmp_path / "dictionary_no.yaml").write_text("mt:\n  mock_dictionary: {love: no}\n")
+    (tmp_path / "drop_int.yaml").write_text("mt:\n  mock_drop_tokens: 5\n")
+    (tmp_path / "cache_int.yaml").write_text("paths:\n  cache_dir: 5\n")
+    (tmp_path / "endpoint_list.yaml").write_text("mt:\n  backend: remote\n  endpoint: [x]\n")
     (tmp_path / "remote.yaml").write_text("mt:\n  backend: remote\n")
     (tmp_path / "pigeon.yaml").write_text("mt:\n  backend: pigeon\n")
     (tmp_path / "scheme.json").write_text('[["<<", ">>"]]')
@@ -1155,8 +1197,8 @@ class OtherLoraDefaults(LoraConfig):
 
 @pytest.mark.parametrize("train_config, lora_config", [
     (TrainConfig, LoraConfig), (OtherTrainDefaults, OtherLoraDefaults)], ids=["ours", "other"])
-@pytest.mark.parametrize("lora_flags", [[], ["--lora-r", "2", "--epochs", "4"]],
-                         ids=["plain", "lora"])
+@pytest.mark.parametrize("lora_flags", [[], ["--lora-r", "2", "--epochs", "4"], ["--lora-r", "2"]],
+                         ids=["plain", "lora", "lora-default-epochs"])
 def test_train_flag_defaults_are_the_config_defaults(bad_input_files, monkeypatch, train_config,
                                                      lora_config, lora_flags):
     # The flags take every default from the config classes, whatever those are.
@@ -1173,7 +1215,9 @@ def test_train_flag_defaults_are_the_config_defaults(bad_input_files, monkeypatc
           "--output", str(bad_input_files / "out" / "model.npz")] + lora_flags)
     want = train_config()
     if lora_flags:
-        want = dataclasses.replace(want, lora=lora_config(rank=2), epochs=4)
+        # Without --epochs an adapter run trains the default epochs up to the adapter's cap.
+        epochs = 4 if "--epochs" in lora_flags else min(want.epochs, MAX_ADAPTER_EPOCHS)
+        want = dataclasses.replace(want, lora=lora_config(rank=2), epochs=epochs)
     assert configs == [want]
 
 

@@ -205,6 +205,17 @@ class TestSaveCorpus:
         with pytest.raises(CorpusFormatError, match="token contains delimiter"):
             save_corpus(Corpus(sentences=[bad]), tmp_path / "c.tsv", format="tsv")
 
+    def test_tsv_token_starting_with_hash_rejected(self, tmp_path):
+        # A row starting with '#' would read back as a sentence header.
+        hashtag = AnnotatedSentence(
+            id="a", tokens=["I", "#love", "you"], language="en", origin=DatasetTag.D_S
+        )
+        with pytest.raises(CorpusFormatError, match="token starts with '#'.*'#love'"):
+            save_corpus(Corpus(sentences=[hashtag]), tmp_path / "c.tsv", format="tsv")
+        assert not (tmp_path / "c.tsv").exists()
+        save_corpus(Corpus(sentences=[hashtag]), tmp_path / "c.jsonl")
+        assert load_corpus(tmp_path / "c.jsonl") == Corpus(sentences=[hashtag])
+
     @settings(max_examples=50, deadline=None)
     @given(corpus=corpus_strategy())
     def test_round_trip_property_jsonl(self, corpus, tmp_path_factory):
