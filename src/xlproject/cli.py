@@ -401,6 +401,10 @@ def cmd_combine(args) -> None:
         DatasetTag.D_ST: args.d_st,
         DatasetTag.D_TS: args.d_ts,
     }
+    for tag, given in paths.items():
+        if given and tag not in spec.include:
+            raise ConfigError(f"--{tag.value.lower().replace('_', '-')} was given but the "
+                              f"combination {spec} leaves {tag.value} out")
     corpora = {}
     inputs = []
     for tag in spec.include:

@@ -123,13 +123,11 @@ def forward(
     model: LinearModel, adapter: LoraAdapter | None, x: FeatureVector | FeatureBlock
 ) -> np.ndarray:
     """Logits ``W0 x + b`` plus the adapter path: shape (C,) for one sparse
-    vector, (rows, C) for every row of a block. Only the columns the input
-    touches are read; with an adapter, through the merged weights."""
+    vector, (rows, C) for every row of a block. The head is read as it is, an
+    adapter merged over all its columns; each row sums only the columns it touches."""
     _check_dim(model, x.dim)
     block = FeatureBlock.stack([x], x.dim) if isinstance(x, FeatureVector) else x
-    cols, block = block.compact()
-    head, head_adapter = restrict(model, adapter, cols)
-    logits = _logits(_merged_weights(head, head_adapter), model.b, block)
+    logits = _logits(_merged_weights(model, adapter), model.b, block)
     return logits[0] if isinstance(x, FeatureVector) else logits
 
 

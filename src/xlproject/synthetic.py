@@ -12,6 +12,9 @@ import random
 from .corpus import AnnotatedSentence, Corpus, DatasetTag, EmotionLabel
 
 TRIGGER_PREFIX = "zq"
+# A sentence has no trigger at this rate, and otherwise from one to MAX_TRIGGERS.
+NO_TRIGGER_RATE = 0.15
+MAX_TRIGGERS = 2
 
 FILLER_WORDS = (
     "the", "a", "this", "that", "morning", "evening", "coffee", "train",
@@ -39,13 +42,7 @@ def trigger_word(stem: str) -> str:
     return TRIGGER_PREFIX + stem
 
 
-def synthetic_corpus(
-    n: int,
-    seed: int,
-    id_prefix: str = "syn",
-    max_triggers: int = 2,
-    no_trigger_rate: float = 0.15,
-) -> Corpus:
+def synthetic_corpus(n: int, seed: int, id_prefix: str = "syn") -> Corpus:
     """Generate n labelled English sentences with masks and emotion labels."""
     rng = random.Random(seed)
     labels = list(EmotionLabel)
@@ -55,8 +52,8 @@ def synthetic_corpus(
         tokens = [rng.choice(FILLER_WORDS) for _ in range(rng.randint(4, 9))]
         tokens.insert(rng.randrange(len(tokens) + 1), EMOTION_KEYWORDS[emotion])
         mask = [0] * len(tokens)
-        if rng.random() >= no_trigger_rate:
-            for _ in range(rng.randint(1, max_triggers)):
+        if rng.random() >= NO_TRIGGER_RATE:
+            for _ in range(rng.randint(1, MAX_TRIGGERS)):
                 pos = rng.randrange(len(tokens) + 1)
                 tokens.insert(pos, trigger_word(rng.choice(TRIGGER_STEMS)))
                 mask.insert(pos, 1)

@@ -76,6 +76,10 @@ class TrainConfig:
             raise TrainConfigError(
                 f"lora rank must be from 1 to {MAX_LORA_RANK}, got {self.lora.rank}"
             )
+        if self.lora is not None and not (math.isfinite(self.lora.alpha) and self.lora.alpha > 0):
+            raise TrainConfigError(f"lora alpha must be finite and > 0, got {self.lora.alpha}")
+        if self.seed < 0:
+            raise TrainConfigError(f"seed must be >= 0, got {self.seed}")
         if not 2 <= self.feature_dim <= MAX_FEATURE_DIM:
             raise TrainConfigError(f"feature_dim must be from 2 to 2**24, got {self.feature_dim}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
@@ -217,36 +221,23 @@ def train(
     adapter = None if config.lora is None else LoraAdapter.init(
         classes, len(cols), rank=config.lora.rank, alpha=config.lora.alpha, rng=rng
     )
-    # W0 or A keeps column k of ``cols`` at place ``slot[k]``, and holds the
-    # ``live`` places filled so far. The plain head places a column when a
-    # batch first touches it: until then its weight and moments are zero, a
-    # fixed point of AdamW, weight decay included, so each step runs on the
-    # live places only. The adapter's A starts random, so it places every
-    # column up front, in order.
+    # The head's own arrays, ``params``, are the training state, updated in
+    # place. W0 or A (the ``wide`` one) keeps column k of ``cols`` at place
+    # ``slot[k]``; its first ``live`` places are filled so far. The plain head
+    # places a column when a batch first touches it: until then its weight
+    # and moments are zero, a fixed point of AdamW, weight decay included, so
+    # each step runs on the live places only. The adapter's A starts random,
+    # so it places every column up front, in order.
+    model = LinearModel.zeros(classes, len(cols))
     if adapter is None:
         slot, live = np.full(len(cols), -1, dtype=np.int64), 0
+        params, wide = {"W0": model.W0, "b": model.b}, "W0"
     else:
         slot, live = np.arange(len(cols)), len(cols)
-    model = LinearModel.zeros(classes, live)
+        params, wide = {"A": adapter.A, "B": adapter.B, "b": model.b}, "A"
     trained = TrainedModel(featurizer=featurizer, model=model, adapter=adapter, task=task,
                            config=config, cols=cols)
-
-    def current_params():
-        if adapter is not None:
-            return {"A": adapter.A, "B": adapter.B, "b": model.b}
-        return {"W0": model.W0, "b": model.b}
-
-    def apply_params(params):
-        model.b = params["b"]
-        if adapter is not None:
-            adapter.A = params["A"]
-            adapter.B = params["B"]
-        else:
-            model.W0 = params["W0"]
-
-    # The parameter with a place per column; its state has room for every column.
-    wide, height = ("A", adapter.rank) if adapter is not None else ("W0", classes)
-    state = AdamWState.init({**current_params(), wide: np.zeros((height, len(cols)))})
+    state = AdamWState.init(params)
     steps_per_epoch = (len(labels) + config.batch_size - 1) // config.batch_size
     total_steps = steps_per_epoch * config.epochs
     best_score = -1.0
@@ -262,7 +253,6 @@ def train(
             if len(fresh):  # first touches, plain head only: new zero columns
                 slot[fresh] = np.arange(live, live + len(fresh))
                 live += len(fresh)
-                model.W0 = np.concatenate((model.W0, np.zeros((classes, len(fresh)))), axis=1)
             # The batch keeps its column order, so its sums are the same at any places.
             places = slot[batch_cols]
             loss, grads = loss_and_grads(*restrict(model, adapter, places), batch, labels[rows])
@@ -271,7 +261,9 @@ def train(
             lr = config.lr
             if config.schedule == "linear":
                 lr = config.lr * (1.0 - step / total_steps)
-            apply_params(adamw_step(state, current_params(), grads, lr, config.weight_decay)[0])
+            views = {**params, wide: params[wide][:, :live]}
+            for key, value in adamw_step(state, views, grads, lr, config.weight_decay)[0].items():
+                views[key][...] = value
             step += 1
         record = {"epoch": epoch, "train_loss": epoch_loss / len(labels)}
         if validation is not None:
@@ -282,12 +274,13 @@ def train(
             record["validation_score"] = score
             if score > best_score:
                 best_score = score
-                best_params = {k: p.copy() for k, p in current_params().items()}
+                best_params = {k: p.copy() for k, p in params.items()}
         trained.history.append(record)
 
-    del state  # the moments go before the gather below allocates another W0
     if best_params is not None:
-        apply_params(best_params)
+        for key, value in best_params.items():
+            params[key][...] = value
+    del state, best_params  # freed before the gather below allocates another W0
     model.W0 = np.take(model.W0, slot, axis=1)  # back to the order of cols
     return trained
 

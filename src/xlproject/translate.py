@@ -14,6 +14,8 @@ from typing import Protocol
 
 API_KEY_ENV = "XLPROJECT_MT_API_KEY"
 REQUEST_TIMEOUT_S = 30.0
+# Attempts per text before translate_batch gives up on it.
+RETRIES = 3
 # Upper bound on concurrent translation requests, so no configuration can ask
 # for one thread per pending text.
 MAX_PARALLELISM = 64
@@ -223,14 +225,13 @@ def translate_batch(
     backend: TranslationBackend,
     cache: TranslationCache | None = None,
     parallelism: int = 1,
-    retries: int = 3,
     backoff: float = 0.5,
 ) -> list[str]:
     """Translate texts preserving order; cache hits never touch the backend.
 
     Duplicate texts are translated once. At most ``parallelism`` requests are
-    in flight; at 1 they run inline, in text order. Each attempt is retried
-    up to ``retries`` times with exponential backoff. Successful translations
+    in flight; at 1 they run inline, in text order. Each text is tried up
+    to ``RETRIES`` times with exponential backoff. Successful translations
     are cached before any failure propagates, so a rerun resumes from the
     partial results.
     """
@@ -253,13 +254,13 @@ def translate_batch(
 
     def run_one(text: str) -> str:
         last_error: Exception | None = None
-        for attempt in range(retries):
+        for attempt in range(RETRIES):
             try:
                 translated = backend.translate(text, src, tgt)
                 break
             except Exception as exc:
                 last_error = exc
-                if attempt < retries - 1 and backoff > 0:
+                if attempt < RETRIES - 1 and backoff > 0:
                     time.sleep(backoff * 2**attempt)
         else:
             raise TranslationError(str(last_error)) from last_error

@@ -1056,6 +1056,23 @@ BAD_INPUT_CASES = {
     "combine-tag-without-path": (["combine", "--combine", "D_S+D_T", "--d-s", "{tmp}/d_s.jsonl",
                                   "--output", "{tmp}/out/all.jsonl"], EXIT_CONFIG,
                                  "combination includes D_T but no path was given"),
+    # A path for a dataset the combination leaves out: a typo in --combine would drop it.
+    "combine-path-without-tag": (["combine", "--combine", "D_S", "--d-s", "{tmp}/d_s.jsonl",
+                                  "--d-t", "{tmp}/nope.jsonl", "--output", "{tmp}/out/all.jsonl"],
+                                 EXIT_CONFIG, "configuration error: --d-t was given but the "
+                                 "combination D_S leaves D_T out"),
+    "train-negative-seed": (["train", "--input", "{tmp}/d_s.jsonl", "--task", "trigger",
+                             "--seed", "-1", "--output", "{tmp}/out/model.npz"],
+                            EXIT_CONFIG, "configuration error: seed must be >= 0, got -1"),
+    "train-alpha-nan": (["train", "--input", "{tmp}/d_s.jsonl", "--task", "trigger",
+                         "--lora-r", "2", "--lora-alpha", "nan", "--output", "{tmp}/out/model.npz"],
+                        EXIT_CONFIG, "configuration error: lora alpha must be finite and > 0, "
+                        "got nan"),
+    # Alpha 0 scales the adapter to nothing, so only the bias would train.
+    "train-alpha-zero": (["train", "--input", "{tmp}/d_s.jsonl", "--task", "trigger",
+                          "--lora-r", "2", "--lora-alpha", "0", "--output", "{tmp}/out/model.npz"],
+                         EXIT_CONFIG, "configuration error: lora alpha must be finite and > 0, "
+                         "got 0.0"),
     "train-alpha-without-rank": (["train", "--input", "{tmp}/d_s.jsonl", "--task", "trigger",
                                   "--lora-alpha", "8", "--output", "{tmp}/out/model.npz"],
                                  EXIT_CONFIG, "--lora-alpha requires --lora-r"),

@@ -19,6 +19,7 @@ from xlproject.model import (
     numeric_attributions,
     numeric_from_logits,
     predict_binary,
+    restrict,
     softmax,
 )
 from xlproject.optim import AdamWState, adamw_step
@@ -465,6 +466,17 @@ class TestBlockCore:
         assert per_instance_oracle.relative_difference(got, want) <= 1e-12
         for x, row in zip(vectors[:50], want):
             assert per_instance_oracle.relative_difference(forward(model, adapter, x), row) <= 1e-12
+
+    @pytest.mark.parametrize("rank", [None, 4], ids=["plain", "lora"])
+    def test_untouched_columns_change_no_logit(self, rank):
+        rng = np.random.default_rng(53)
+        model, adapter = random_head(rng, 6, 300, rank)
+        vectors = [random_sparse(rng, 300, nnz=nnz) for nnz in (12, 0, 30, 5)]
+        block = FeatureBlock.stack(vectors, 300)
+        cols, compacted = block.compact()
+        assert 0 < len(cols) < 300
+        want = forward(*restrict(model, adapter, cols), compacted)
+        assert np.array_equal(forward(model, adapter, block), want)
 
     @settings(max_examples=60, deadline=None)
     @given(

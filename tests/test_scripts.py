@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from xlproject.synthetic import MAX_TRIGGERS, NO_TRIGGER_RATE, synthetic_corpus
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -28,6 +30,12 @@ def test_scripts_generate_a_corpus_and_run_the_pipeline(tmp_path):
     assert result.returncode == 0, result.stderr
     report = json.loads((workdir / "report.json").read_text())
     assert 0.0 <= report["token_f1"] <= 1.0
+
+
+def test_synthetic_sentences_carry_up_to_max_triggers():
+    counts = [sum(s.trigger_mask) for s in synthetic_corpus(600, seed=3).sentences]
+    assert (min(counts), max(counts)) == (0, MAX_TRIGGERS)
+    assert abs(counts.count(0) / len(counts) - NO_TRIGGER_RATE) < 0.05
 
 
 def test_pytest_imports_the_package_from_a_checkout_without_an_install():

@@ -54,6 +54,11 @@ class TestTrainConfig:
         with pytest.raises(TrainConfigError, match="weight_decay"):
             small_config(weight_decay=decay).validate()
 
+    @pytest.mark.parametrize("alpha", [-1.0, float("inf")])
+    def test_bad_lora_alpha_rejected(self, alpha):
+        with pytest.raises(TrainConfigError, match="lora alpha"):
+            small_config(lora=LoraConfig(rank=2, alpha=alpha)).validate()
+
     def test_default_lora_hyperparameters(self):
         lora = LoraConfig()
         assert lora.rank == 64

@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from xlproject.translate import (
+    RETRIES,
     DictionaryBackend,
     IdentityBackend,
     TranslationCache,
@@ -227,6 +228,12 @@ class TestRetries:
         out = translate_batch(["x"], "en", "es", backend, backoff=0.0)
         assert out == ["X"]
         assert backend.calls == 3
+
+    def test_each_text_is_tried_retries_times(self):
+        backend = FlakyBackend(failures={}, permanent_fail={"bad"})
+        with pytest.raises(TranslationError, match="permanently broken: bad"):
+            translate_batch(["bad"], "en", "es", backend, backoff=0.0)
+        assert backend.calls == RETRIES == 3
 
     def test_permanent_failure_carries_index(self, tmp_path):
         backend = FlakyBackend(failures={}, permanent_fail={"bad"})
