@@ -10,11 +10,11 @@ from typing import Mapping
 from .corpus import (
     AnnotatedSentence,
     Corpus,
-    CorpusFormatError,
     DatasetTag,
     read_jsonl,
     write_jsonl,
 )
+from .errors import DataError
 from .projection import Projected, TriggerSpan
 
 TAG_ORDER = (DatasetTag.D_S, DatasetTag.D_T, DatasetTag.D_ST, DatasetTag.D_TS)
@@ -74,7 +74,7 @@ def load_pairs(path: str | Path, source: Corpus, target: Corpus) -> list[Aligned
     """The pairs of a ``.pairs.jsonl`` file over the sentences of two corpora.
 
     A malformed record, an id missing from its corpus, or a pair that fails
-    :meth:`AlignedPair.validate` is a :class:`CorpusFormatError` naming the
+    :meth:`AlignedPair.validate` is a :class:`DataError` naming the
     file and line.
     """
     source_by_id = {s.id: s for s in source.sentences}
@@ -83,26 +83,26 @@ def load_pairs(path: str | Path, source: Corpus, target: Corpus) -> list[Aligned
     for lineno, record in read_jsonl(path):
         where = f"{path} line {lineno}"
         if not isinstance(record, dict):
-            raise CorpusFormatError(f"{where}: record is not an object")
+            raise DataError(f"{where}: record is not an object")
         odd = sorted(set(_PAIR_FIELDS) ^ set(record))
         if odd:
             problem = "missing" if odd[0] in _PAIR_FIELDS else "unknown"
-            raise CorpusFormatError(f"{where}: {problem} field {odd[0]!r}")
+            raise DataError(f"{where}: {problem} field {odd[0]!r}")
         sid, tid = record["source_id"], record["target_id"]
         if not (isinstance(sid, str) and isinstance(tid, str)):
-            raise CorpusFormatError(f"{where}: the ids must be strings")
+            raise DataError(f"{where}: the ids must be strings")
         for name in _PAIR_FIELDS[2:]:
             spans = record[name]
             if not isinstance(spans, list) or not all(
                 type(s) is list and len(s) == 3 and all(type(v) is int for v in s) for s in spans
             ):
-                raise CorpusFormatError(
+                raise DataError(
                     f"{where}: field {name!r} must be a list of [start, end, marker] integers"
                 )
         if sid not in source_by_id:
-            raise CorpusFormatError(f"{where}: id {sid!r} missing from the source corpus")
+            raise DataError(f"{where}: id {sid!r} missing from the source corpus")
         if tid not in target_by_id:
-            raise CorpusFormatError(f"{where}: id {tid!r} missing from the target corpus")
+            raise DataError(f"{where}: id {tid!r} missing from the target corpus")
         pair = AlignedPair(
             source=source_by_id[sid],
             target=target_by_id[tid],
@@ -112,7 +112,7 @@ def load_pairs(path: str | Path, source: Corpus, target: Corpus) -> list[Aligned
         try:
             pair.validate()
         except ValueError as exc:
-            raise CorpusFormatError(f"{where}: {exc}") from None
+            raise DataError(f"{where}: {exc}") from None
         pairs.append(pair)
     return pairs
 

@@ -1,7 +1,9 @@
 """Command-line pipeline: split, project, switch, combine, train, predict, evaluate, parse-llm.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 translation
-backend error, 5 internal error. Every command writes its outputs through
+Exit codes, by the kind of error (see :mod:`xlproject.errors`): 0 success,
+2 :class:`ConfigError`, 3 :class:`DataError` or ``OSError``, 4
+:class:`TranslationError`, 5 any other exception, a defect, reported with its
+traceback. Every command writes its outputs through
 :func:`write_outputs`, which, before the command's work, rejects an output
 that is the same file as an input or another output, and afterwards creates
 each output's directory and writes the output's ``<output>.provenance.json``
@@ -34,7 +36,6 @@ from .augment import (
 from .corpus import (
     LANGUAGES,
     Corpus,
-    CorpusFormatError,
     DatasetTag,
     EmotionLabel,
     check_new_id,
@@ -49,6 +50,7 @@ from .corpus import (
     write_jsonl,
 )
 # perfbench/tracing.py looks up normalize_attributions, the one-sentence normalize_each, here.
+from .errors import ConfigError, DataError, LlmResponseError, MissingLabelsError, TranslationError
 from .metrics import build_report, normalize_attributions, normalize_each  # noqa: F401
 from .projection import MarkerScheme, project_corpus
 from .training import (
@@ -56,9 +58,7 @@ from .training import (
     SCHEDULES,
     TASKS,
     LoraConfig,
-    MissingLabelsError,
     TrainConfig,
-    TrainConfigError,
     load_model,
     num_classes,
     save_model,
@@ -70,7 +70,6 @@ from .translate import (
     IdentityBackend,
     RemoteHttpBackend,
     TranslationCache,
-    TranslationError,
 )
 
 EXIT_OK = 0
@@ -85,21 +84,6 @@ EXIT_CODE_HELP = (
 )
 
 
-class ConfigError(Exception):
-    pass
-
-
-class DataError(Exception):
-    pass
-
-
-class LlmResponseError(ValueError):
-    """No parseable emotion label in an LLM response."""
-
-    def __init__(self, text: str):
-        super().__init__(f"no emotion label found in response: {text!r}")
-
-
 _LABEL_MARKER = re.compile(r"label\s*:", re.IGNORECASE)
 _LEADING_JUNK = " \t\r\n'\"‘’“”`*_.,:;!?()[]<>-"
 _LABEL_WORDS = {label.value.lower(): label for label in EmotionLabel}
@@ -112,7 +96,7 @@ def parse_llm_response(text: str) -> EmotionLabel:
         word = re.match(r"[A-Za-z]+", rest)
         if word and word.group(0).lower() in _LABEL_WORDS:
             return _LABEL_WORDS[word.group(0).lower()]
-    raise LlmResponseError(text)
+    raise LlmResponseError(f"no emotion label found in response: {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +511,7 @@ def cmd_evaluate(args) -> None:
                 raise DataError(f"{where}: 'emotion' must be a label string")
             try:
                 predicted = EmotionLabel.from_string(record["emotion"])
-            except CorpusFormatError as exc:
+            except DataError as exc:
                 raise DataError(f"{where}: {exc}") from None
             emotion_pairs.append((sentence.emotion, predicted))
         if "mask" in record or "numeric" in record:
@@ -598,7 +582,7 @@ def cmd_stats(args) -> None:
     corpus = load_corpus(args.input, format=args.format)
     try:
         counts = label_distribution(corpus)
-    except ValueError as exc:
+    except DataError as exc:
         raise DataError(f"{args.input}: {exc}") from None
     print(json.dumps({label.value: count for label, count in counts.items()}, indent=2))
 
@@ -699,10 +683,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ConfigError, TrainConfigError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, CorpusFormatError, ValueError, OSError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TranslationError as exc:

@@ -11,11 +11,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
+from .errors import CorpusFormatError, DataError  # noqa: F401 (the older name, re-exported)
+
 LANGUAGES = ("en", "nl", "ru", "es", "fr")
-
-
-class CorpusFormatError(ValueError):
-    """A corpus file or record violates the schema."""
 
 
 _FIELDS = frozenset({"id", "lang", "tokens", "emotion", "mask", "origin", "bilingual"})
@@ -39,7 +37,7 @@ class EmotionLabel(Enum):
         try:
             return _LABELS_BY_WORD[text]
         except (KeyError, TypeError):  # TypeError: a JSON list or object
-            raise CorpusFormatError(
+            raise DataError(
                 f"unknown emotion label {text!r}; expected one of {sorted(_LABELS_BY_WORD)}"
             ) from None
 
@@ -64,7 +62,7 @@ class DatasetTag(Enum):
         try:
             return _TAGS_BY_NAME[text]
         except KeyError:
-            raise CorpusFormatError(
+            raise DataError(
                 f"unknown origin tag {text!r}; expected one of {sorted(_TAGS_BY_NAME)}"
             ) from None
 
@@ -92,28 +90,28 @@ class AnnotatedSentence:
         """Check the fields; ``joined`` is the tokens joined by NUL (not whitespace)."""
         joined = "\0".join(self.tokens) if joined is None else joined
         if not self.id:
-            raise CorpusFormatError("empty id")
+            raise DataError("empty id")
         if not self.tokens:
-            raise CorpusFormatError("tokens must be non-empty")
+            raise DataError("tokens must be non-empty")
         if "" in self.tokens or _WHITESPACE(joined):
             for tok in self.tokens:  # name the first offending token
                 if not tok:
-                    raise CorpusFormatError("empty token")
+                    raise DataError("empty token")
                 if _WHITESPACE(tok):
-                    raise CorpusFormatError(f"token contains whitespace: {tok!r}")
+                    raise DataError(f"token contains whitespace: {tok!r}")
         if self.language not in LANGUAGES:
-            raise CorpusFormatError(
+            raise DataError(
                 f"unknown language {self.language!r}; expected one of {LANGUAGES}"
             )
         if self.trigger_mask is not None:
             if len(self.trigger_mask) != len(self.tokens):
-                raise CorpusFormatError("mask length mismatch")
+                raise DataError("mask length mismatch")
             if self.trigger_mask.count(0) + self.trigger_mask.count(1) != len(self.trigger_mask):
-                raise CorpusFormatError("mask values must be 0 or 1")
+                raise DataError("mask values must be 0 or 1")
         if self.origin is DatasetTag.D_S and self.language != "en":
-            raise CorpusFormatError("D_S sentences must have language 'en'")
+            raise DataError("D_S sentences must have language 'en'")
         if self.origin is DatasetTag.D_T and self.language == "en":
-            raise CorpusFormatError("D_T sentences must have a non-English language")
+            raise DataError("D_T sentences must have a non-English language")
 
 
 @dataclass
@@ -131,7 +129,7 @@ class Corpus:
         for sent in self.sentences:
             sent.validate()
             if sent.id in seen:
-                raise CorpusFormatError(f"duplicate id {sent.id!r}")
+                raise DataError(f"duplicate id {sent.id!r}")
             seen.add(sent.id)
 
 
@@ -143,25 +141,25 @@ def is_binary_mask(mask: object) -> bool:
 
 def _sentence_from_record(record: dict) -> AnnotatedSentence:
     if not isinstance(record, dict):
-        raise CorpusFormatError("record is not an object")
+        raise DataError("record is not an object")
     if not record.keys() <= _FIELDS:
-        raise CorpusFormatError(f"unknown field {sorted(record.keys() - _FIELDS)[0]!r}")
+        raise DataError(f"unknown field {sorted(record.keys() - _FIELDS)[0]!r}")
     for req in ("id", "lang", "tokens", "origin"):
         if req not in record:
-            raise CorpusFormatError(f"missing field {req!r}")
+            raise DataError(f"missing field {req!r}")
     tokens = record["tokens"]
     try:
         if not isinstance(tokens, list):
             raise TypeError
         joined = "\0".join(tokens)
     except TypeError:  # not a list, or a token that is not a string
-        raise CorpusFormatError("field 'tokens' must be a list of strings") from None
+        raise DataError("field 'tokens' must be a list of strings") from None
     mask = record.get("mask")
     if mask is not None and not (isinstance(mask, list) and set(map(type, mask)) <= {int}):
-        raise CorpusFormatError("field 'mask' must be a list of 0/1 integers")
+        raise DataError("field 'mask' must be a list of 0/1 integers")
     bilingual = record.get("bilingual", False)
     if type(bilingual) is not bool:
-        raise CorpusFormatError("field 'bilingual' must be true or false")
+        raise DataError("field 'bilingual' must be true or false")
     # NUL composes with nothing, so the joined text is NFC exactly when every token is.
     if not unicodedata.is_normalized("NFC", joined):
         tokens = [unicodedata.normalize("NFC", t) for t in tokens]
@@ -200,7 +198,7 @@ def sidecar(path: str | Path, kind: str) -> Path:
 def load_corpus(
     path: str | Path, format: str = "jsonl", seen: dict[str, tuple[Path, int]] | None = None
 ) -> Corpus:
-    """Load a corpus file; raises :class:`CorpusFormatError` naming the file and
+    """Load a corpus file; raises :class:`DataError` naming the file and
     the offending line (for a TSV sentence's record, the line of its header).
 
     ``seen`` maps each id to the file and line that gave it first; share one
@@ -220,8 +218,8 @@ def load_corpus(
     for lineno, record in records:
         try:
             sent = _sentence_from_record(record)
-        except CorpusFormatError as exc:
-            raise CorpusFormatError(f"{path}: {exc} at line {lineno}") from None
+        except DataError as exc:
+            raise DataError(f"{path}: {exc} at line {lineno}") from None
         check_new_id(seen, sent.id, path, lineno)
         sentences.append(sent)
     return Corpus(sentences=sentences)
@@ -233,7 +231,7 @@ def check_new_id(seen: dict[str, tuple[Path, int]], sid: str, path: Path, lineno
         first_path, first = seen[sid]
         # The file is named unless it is an earlier line of this same reading.
         where = "" if first_path == path and first < lineno else f"{first_path} "
-        raise CorpusFormatError(
+        raise DataError(
             f"{path} line {lineno}: duplicate id {sid!r}, first at {where}line {first}"
         )
     seen[sid] = (path, lineno)
@@ -245,26 +243,26 @@ _ESCAPED_BYTE = re.compile("[\udc80-\udcff]").search
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """The line number and text of every line of a text file; a file that is not
-    UTF-8 is a :class:`CorpusFormatError` naming it and its first such line."""
+    UTF-8 is a :class:`DataError` naming it and its first such line."""
     try:
         with open(path, encoding="utf-8") as handle:
             yield from enumerate(handle, start=1)
     except UnicodeDecodeError as exc:
         with open(path, encoding="utf-8", errors="surrogateescape") as handle:
             bad = next((n for n, line in enumerate(handle, start=1) if _ESCAPED_BYTE(line)), "?")
-        raise CorpusFormatError(f"{path} line {bad}: not UTF-8 text: {exc.reason}") from None
+        raise DataError(f"{path} line {bad}: not UTF-8 text: {exc.reason}") from None
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
     """The line number and JSON value of every non-blank line of a file; a
-    line that is not JSON is a :class:`CorpusFormatError` naming file and line."""
+    line that is not JSON is a :class:`DataError` naming file and line."""
     for lineno, line in read_lines(path):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"{path} line {lineno}: invalid JSON: {exc.msg}") from None
+            raise DataError(f"{path} line {lineno}: invalid JSON: {exc.msg}") from None
         yield lineno, record
 
 
@@ -286,10 +284,10 @@ def _read_tsv(path: Path) -> Iterator[tuple[int, dict]]:
     """The header line and record of every sentence of a TSV corpus: the
     header's fields, ``tokens`` from the rows' first column and, when the rows
     have two columns, ``mask`` from the second. A row or header item that
-    cannot be read is a :class:`CorpusFormatError` naming the file and line."""
+    cannot be read is a :class:`DataError` naming the file and line."""
 
-    def error(problem: str, lineno: int) -> CorpusFormatError:
-        return CorpusFormatError(f"{path}: {problem} at line {lineno}")
+    def error(problem: str, lineno: int) -> DataError:
+        return DataError(f"{path}: {problem} at line {lineno}")
 
     start, fields, tokens, mask = 0, None, [], []  # the open sentence
     # A blank line appended to the file's lines closes its last sentence.
@@ -337,12 +335,12 @@ def _save_tsv(corpus: Corpus, path: str | Path) -> None:
     for sent in corpus.sentences:
         for value in (sent.id, sent.language):
             if _WHITESPACE(value):
-                raise CorpusFormatError(f"header value contains whitespace: {value!r}")
+                raise DataError(f"header value contains whitespace: {value!r}")
         for tok in sent.tokens:
             if "\t" in tok or "\n" in tok:
-                raise CorpusFormatError(f"token contains delimiter: {tok!r}")
+                raise DataError(f"token contains delimiter: {tok!r}")
             if tok.startswith("#"):
-                raise CorpusFormatError(f"token starts with '#', which marks a header: {tok!r}")
+                raise DataError(f"token starts with '#', which marks a header: {tok!r}")
         record = _sentence_to_record(sent)
         tokens, mask = record.pop("tokens"), record.pop("mask", None)
         if "bilingual" in record:  # present only when true
@@ -383,7 +381,7 @@ def label_distribution(corpus: Corpus) -> dict[EmotionLabel, int]:
     """Count sentences per emotion label; every label appears as a key."""
     missing = [s.id for s in corpus.sentences if s.emotion is None]
     if missing:
-        raise ValueError(f"{len(missing)} sentences missing emotion label: {missing[:5]}")
+        raise DataError(f"{len(missing)} sentences missing emotion label: {missing[:5]}")
     counts = {label: 0 for label in EMOTION_ORDER}
     for sent in corpus.sentences:
         counts[sent.emotion] += 1

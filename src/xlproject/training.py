@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import EMOTION_ORDER, AnnotatedSentence, Corpus, EmotionLabel
+from .errors import ConfigError, DataError, MissingLabelsError, TrainConfigError  # noqa: F401
 from .features import DEFAULT_FEATURE_DIM, DEFAULT_SALT, FeatureBlock, HashedNgramFeaturizer
 from .metrics import corpus_token_f1, macro_f1
 from .model import (
@@ -35,10 +36,6 @@ MAX_EPOCHS = 30
 MAX_ADAPTER_EPOCHS = 5
 
 
-class TrainConfigError(ValueError):
-    pass
-
-
 @dataclass
 class LoraConfig:
     rank: int = 64
@@ -59,31 +56,31 @@ class TrainConfig:
 
     def validate(self) -> None:
         if self.lr not in ALLOWED_LEARNING_RATES:
-            raise TrainConfigError(
+            raise ConfigError(
                 f"learning rate {self.lr} not in allowed set {ALLOWED_LEARNING_RATES}"
             )
         if self.batch_size < 1:
-            raise TrainConfigError("batch_size must be >= 1")
+            raise ConfigError("batch_size must be >= 1")
         max_epochs = MAX_EPOCHS if self.lora is None else MAX_ADAPTER_EPOCHS
         if not 1 <= self.epochs <= max_epochs:
-            raise TrainConfigError(
+            raise ConfigError(
                 f"epochs must be in [1, {max_epochs}]"
                 f"{' with an adapter' if self.lora else ''}, got {self.epochs}"
             )
         if self.schedule not in SCHEDULES:
-            raise TrainConfigError(f"schedule must be one of {SCHEDULES}")
+            raise ConfigError(f"schedule must be one of {SCHEDULES}")
         if self.lora is not None and not 1 <= self.lora.rank <= MAX_LORA_RANK:
-            raise TrainConfigError(
+            raise ConfigError(
                 f"lora rank must be from 1 to {MAX_LORA_RANK}, got {self.lora.rank}"
             )
         if self.lora is not None and not (math.isfinite(self.lora.alpha) and self.lora.alpha > 0):
-            raise TrainConfigError(f"lora alpha must be finite and > 0, got {self.lora.alpha}")
+            raise ConfigError(f"lora alpha must be finite and > 0, got {self.lora.alpha}")
         if self.seed < 0:
-            raise TrainConfigError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 2 <= self.feature_dim <= MAX_FEATURE_DIM:
-            raise TrainConfigError(f"feature_dim must be from 2 to 2**24, got {self.feature_dim}")
+            raise ConfigError(f"feature_dim must be from 2 to 2**24, got {self.feature_dim}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
-            raise TrainConfigError(
+            raise ConfigError(
                 f"weight_decay must be finite and >= 0, got {self.weight_decay}"
             )
 
@@ -127,14 +124,6 @@ class TrainedModel:
             {"id": s.id, "mask": mask, "numeric": values}
             for s, mask, values in zip(corpus.sentences, masks, numeric)
         ]
-
-
-class MissingLabelsError(ValueError):
-    """A corpus given to :func:`train` has sentences without the task's labels."""
-
-    def __init__(self, role: str, label: str, ids: list[str]):
-        super().__init__(f"{role} corpus: {len(ids)} sentences missing {label}: {ids[:5]}")
-        self.role = role
 
 
 def _check_labels(corpus: Corpus, task: str, role: str) -> None:
@@ -201,7 +190,7 @@ def train(
     them at zero.
     """
     if task not in TASKS:
-        raise TrainConfigError(f"task must be one of {TASKS}")
+        raise ConfigError(f"task must be one of {TASKS}")
     config.validate()
     if not corpus.sentences:
         raise ValueError("training corpus is empty")
@@ -311,48 +300,48 @@ def _open_checkpoint(path: str | Path) -> np.lib.npyio.NpzFile:
     try:
         data = np.load(path)
     except OSError as exc:
-        raise ValueError(f"{path}: cannot read the checkpoint: {exc.strerror or exc}") from None
+        raise DataError(f"{path}: cannot read the checkpoint: {exc.strerror or exc}") from None
     except (EOFError, ValueError, zipfile.BadZipFile):  # numpy's guess at a format failed
         data = None
     if not isinstance(data, np.lib.npyio.NpzFile):
-        raise ValueError(f"{path}: not a checkpoint: not an .npz archive")
+        raise DataError(f"{path}: not a checkpoint: not an .npz archive")
     return data
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    """Load a checkpoint; raises ``ValueError`` naming the file when it is
+    """Load a checkpoint; raises ``DataError`` naming the file when it is
     missing, is not a checkpoint, or has metadata that is malformed or
     disagrees with its arrays (prediction relies on their shapes). A
     version-1 checkpoint has no ``cols`` and covers every feature column."""
     with _open_checkpoint(path) as data:
         if "meta" not in data.files:
-            raise ValueError(f"{path}: not a checkpoint: no meta entry")
+            raise DataError(f"{path}: not a checkpoint: no meta entry")
         try:
             meta = json.loads(bytes(data["meta"]).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValueError(f"{path}: checkpoint metadata is not JSON: {exc}") from None
+            raise DataError(f"{path}: checkpoint metadata is not JSON: {exc}") from None
         arrays = {name: data[name] for name in data.files if name != "meta"}
     try:
         if meta.get("version") not in (1, CHECKPOINT_VERSION):
-            raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')!r}")
+            raise DataError(f"{path}: unsupported checkpoint version {meta.get('version')!r}")
         classes, dim, lora = len(meta["classes"]), meta["feature"]["dim"], meta["lora"]
         if type(dim) is not int or not 2 <= dim <= MAX_FEATURE_DIM:
-            raise ValueError(f"{path}: the metadata's feature dim {dim!r} is not in 2..2**24")
+            raise DataError(f"{path}: the metadata's feature dim {dim!r} is not in 2..2**24")
         names = ["W0", "b"] + (["A", "B"] if lora is not None else [])
         for name in names + (["cols"] if meta["version"] > 1 else []):
             if name not in arrays:
-                raise ValueError(f"{path}: array {name} is missing")
+                raise DataError(f"{path}: array {name} is missing")
         cols = arrays["cols"] if meta["version"] > 1 else np.arange(dim)
         if not (cols.ndim == 1 and cols.dtype.kind in "iu" and np.all(cols[1:] > cols[:-1])
                 and np.all((cols >= 0) & (cols < dim))):
-            raise ValueError(f"{path}: array cols is not strictly increasing feature columns "
+            raise DataError(f"{path}: array cols is not strictly increasing feature columns "
                              f"below the metadata's feature dim {dim}")
         expected = {"W0": (classes, len(cols)), "b": (classes,)}
         if lora is not None:
             expected.update(A=(lora["rank"], len(cols)), B=(classes, lora["rank"]))
         for name, shape in expected.items():
             if arrays[name].shape != shape:
-                raise ValueError(f"{path}: array {name} has shape {arrays[name].shape}, "
+                raise DataError(f"{path}: array {name} has shape {arrays[name].shape}, "
                                  f"but the metadata implies {shape}")
         cfg = dict(meta["config"])
         lora_cfg = cfg.pop("lora", None)
@@ -364,4 +353,4 @@ def load_model(path: str | Path) -> TrainedModel:
             config=TrainConfig(lora=None if lora_cfg is None else LoraConfig(**lora_cfg), **cfg),
         )
     except (AttributeError, KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed checkpoint metadata: {exc!r}") from None
+        raise DataError(f"{path}: malformed checkpoint metadata: {exc!r}") from None

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
 
+from .errors import DataError, TranslationError
+
 API_KEY_ENV = "XLPROJECT_MT_API_KEY"
 REQUEST_TIMEOUT_S = 30.0
 # Attempts per text before translate_batch gives up on it.
@@ -19,14 +21,6 @@ RETRIES = 3
 # Upper bound on concurrent translation requests, so no configuration can ask
 # for one thread per pending text.
 MAX_PARALLELISM = 64
-
-
-class TranslationError(Exception):
-    """Remote translation failed after retries; ``index`` names the failing text."""
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
 
 
 class TranslationBackend(Protocol):
@@ -137,7 +131,7 @@ class TranslationCache:
             self.torn_lines += 1
         for lineno, line in enumerate(lines, start=1):
             if not _RECORD_KEY.match(line):
-                raise ValueError(
+                raise DataError(
                     f"corrupt translation-cache segment {path} line {lineno}: "
                     "expected a 64-hex key and a tab"
                 )
@@ -147,7 +141,7 @@ class TranslationCache:
         return self.root / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> str | None:
-        """The cached translation, or None on a miss; a corrupt record raises ValueError."""
+        """The cached translation, or None on a miss; a corrupt record raises DataError."""
         found = self._records.get(key)
         if found is None and self._legacy:
             path = self._legacy_path(key)
@@ -165,7 +159,7 @@ class TranslationCache:
             translated = None
         if not isinstance(translated, str):
             where = path if lineno is None else f"{path} line {lineno}"
-            raise ValueError(
+            raise DataError(
                 f"corrupt translation-cache entry {where}: expected JSON with a 'translated' string"
             )
         self.hits += 1
