@@ -1,15 +1,14 @@
 """Command-line pipeline: split, project, switch, combine, train, predict, evaluate, parse-llm.
 
-Exit codes, by the kind of error (see :mod:`xlproject.errors`): 0 success,
-2 :class:`ConfigError`, 3 :class:`DataError` or ``OSError``, 4
-:class:`TranslationError`, 5 any other exception, a defect, reported with its
-traceback. Every command writes its outputs through
-:func:`write_outputs`, which, before the command's work, rejects an output
-that is the same file as an input or another output, and afterwards creates
-each output's directory and writes the output's ``<output>.provenance.json``
-sidecar: the command, a hash of its effective configuration, the seed, the
-hashes of its input files, taken once after the command has read them, and the
-command's own keys.
+Exit codes follow the kind of error (see :mod:`xlproject.errors`): 0 success,
+2 ConfigError, 3 DataError or OSError, 4 TranslationError, 5 any other
+exception, a defect, printed with its traceback. Every command writes its
+outputs through :func:`write_outputs`, which, before the command's work,
+rejects an output that is an input or another output (exit 2) or a directory
+(exit 3), then creates each output's directory and writes its
+``<output>.provenance.json`` sidecar: the command, a hash of its effective
+configuration, the seed, the hashes of its input files, taken once after the
+command has read them, and the command's own keys.
 """
 from __future__ import annotations
 
@@ -49,8 +48,8 @@ from .corpus import (
     split_train_validation,
     write_jsonl,
 )
-# perfbench/tracing.py looks up normalize_attributions, the one-sentence normalize_each, here.
 from .errors import ConfigError, DataError, LlmResponseError, MissingLabelsError, TranslationError
+# perfbench/tracing.py looks up normalize_attributions, the one-sentence normalize_each, here.
 from .metrics import build_report, normalize_attributions, normalize_each  # noqa: F401
 from .projection import MarkerScheme, project_corpus
 from .training import (
@@ -198,7 +197,7 @@ def write_outputs(provenance: dict, *outputs):
     ``provenance`` plus ``sidecar_keys`` (none if those are ``None``). The writers
     run after the block, so they may use what it computes. On entry, before the
     block's work, a file to write that is an input or another file to write is a
-    configuration error."""
+    configuration error, and one that is a directory is a data error."""
     claimed = {Path(path).resolve(): path for path in provenance["inputs"]}
     for path, _, sidecar_keys in outputs:
         written = [path] if sidecar_keys is None else [path, sidecar(path, "provenance.json")]
@@ -206,6 +205,8 @@ def write_outputs(provenance: dict, *outputs):
             resolved = Path(name).resolve()
             if resolved in claimed:
                 raise ConfigError(f"output {name} is the same file as {claimed[resolved]}")
+            if resolved.is_dir():
+                raise DataError(f"output {name} is a directory")
             claimed[resolved] = name
     yield
     for path, write, sidecar_keys in outputs:
@@ -253,7 +254,7 @@ def parse_scheme(text: str | None) -> MarkerScheme:
         data = json.loads(raw)
         pairs = tuple((str(pair[0]), str(pair[1])) for pair in data)
         return MarkerScheme(pairs=pairs)
-    except (json.JSONDecodeError, IndexError, TypeError, ValueError) as exc:
+    except (IndexError, TypeError, ValueError) as exc:  # ValueError: not JSON or not a scheme
         raise ConfigError(f"invalid marker scheme {text!r}: {exc}") from None
 
 

@@ -296,6 +296,12 @@ def save_model(trained: TrainedModel, path: str | Path) -> None:
         np.savez(handle, meta=meta_bytes, **arrays)
 
 
+# The featurizer settings that train leaves at their defaults: the only values
+# a checkpoint may hold. Other values would featurize differently from training.
+_FIXED_FEATURES = {key: value for key, value in asdict(HashedNgramFeaturizer()).items()
+                   if key not in ("dim", "salt")}
+
+
 def _open_checkpoint(path: str | Path) -> np.lib.npyio.NpzFile:
     try:
         data = np.load(path)
@@ -310,47 +316,73 @@ def _open_checkpoint(path: str | Path) -> np.lib.npyio.NpzFile:
 
 def load_model(path: str | Path) -> TrainedModel:
     """Load a checkpoint; raises ``DataError`` naming the file when it is
-    missing, is not a checkpoint, or has metadata that is malformed or
-    disagrees with its arrays (prediction relies on their shapes). A
-    version-1 checkpoint has no ``cols`` and covers every feature column."""
+    missing or is not a checkpoint, when an array cannot be read or does not
+    hold finite floats, or when the metadata is malformed, disagrees with the
+    arrays (prediction relies on their shapes) or holds a task, featurizer or
+    adapter setting that ``train`` does not write. A version-1 checkpoint has
+    no ``cols`` and covers every feature column."""
     with _open_checkpoint(path) as data:
+
+        def read(name: str) -> np.ndarray:
+            if name not in data.files:
+                raise DataError(f"{path}: array {name} is missing")
+            try:
+                return data[name]
+            except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+                raise DataError(f"{path}: cannot read array {name}: {exc}") from None
+
         if "meta" not in data.files:
             raise DataError(f"{path}: not a checkpoint: no meta entry")
         try:
-            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+            meta = json.loads(bytes(read("meta")).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{path}: checkpoint metadata is not JSON: {exc}") from None
-        arrays = {name: data[name] for name in data.files if name != "meta"}
-    try:
-        if meta.get("version") not in (1, CHECKPOINT_VERSION):
-            raise DataError(f"{path}: unsupported checkpoint version {meta.get('version')!r}")
-        classes, dim, lora = len(meta["classes"]), meta["feature"]["dim"], meta["lora"]
-        if type(dim) is not int or not 2 <= dim <= MAX_FEATURE_DIM:
-            raise DataError(f"{path}: the metadata's feature dim {dim!r} is not in 2..2**24")
-        names = ["W0", "b"] + (["A", "B"] if lora is not None else [])
-        for name in names + (["cols"] if meta["version"] > 1 else []):
-            if name not in arrays:
-                raise DataError(f"{path}: array {name} is missing")
-        cols = arrays["cols"] if meta["version"] > 1 else np.arange(dim)
-        if not (cols.ndim == 1 and cols.dtype.kind in "iu" and np.all(cols[1:] > cols[:-1])
-                and np.all((cols >= 0) & (cols < dim))):
-            raise DataError(f"{path}: array cols is not strictly increasing feature columns "
-                             f"below the metadata's feature dim {dim}")
-        expected = {"W0": (classes, len(cols)), "b": (classes,)}
-        if lora is not None:
-            expected.update(A=(lora["rank"], len(cols)), B=(classes, lora["rank"]))
-        for name, shape in expected.items():
-            if arrays[name].shape != shape:
-                raise DataError(f"{path}: array {name} has shape {arrays[name].shape}, "
-                                 f"but the metadata implies {shape}")
-        cfg = dict(meta["config"])
-        lora_cfg = cfg.pop("lora", None)
-        return TrainedModel(
-            featurizer=HashedNgramFeaturizer(**meta["feature"]),
-            model=LinearModel(W0=arrays["W0"], b=arrays["b"]),
-            adapter=None if lora is None else LoraAdapter(A=arrays["A"], B=arrays["B"], **lora),
-            task=meta["task"], cols=cols, history=list(meta.get("history", [])),
-            config=TrainConfig(lora=None if lora_cfg is None else LoraConfig(**lora_cfg), **cfg),
-        )
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise DataError(f"{path}: malformed checkpoint metadata: {exc!r}") from None
+        try:
+            if meta.get("version") not in (1, CHECKPOINT_VERSION):
+                raise DataError(f"{path}: unsupported checkpoint version {meta.get('version')!r}")
+            task, classes, feature, lora = (meta["task"], len(meta["classes"]), meta["feature"],
+                                            meta["lora"])
+            if task not in TASKS or classes != num_classes(task):
+                raise DataError(f"{path}: the metadata's task {task!r} with {classes} classes "
+                                "is not one train writes")
+            dim = feature["dim"]
+            if type(dim) is not int or not 2 <= dim <= MAX_FEATURE_DIM:
+                raise DataError(f"{path}: the metadata's feature dim {dim!r} is not in 2..2**24")
+            if not (feature.keys() == {"dim", "salt", *_FIXED_FEATURES}
+                    and isinstance(feature["salt"], str)
+                    and all(type(feature[k]) is int and feature[k] == value
+                            for k, value in _FIXED_FEATURES.items())):
+                raise DataError(f"{path}: the metadata's featurizer settings {feature!r} are not "
+                                f"a dim, a string salt and {_FIXED_FEATURES}, as train writes")
+            if lora is not None and not (
+                    lora.keys() == {"rank", "alpha"} and type(lora["rank"]) is int
+                    and 1 <= lora["rank"] <= MAX_LORA_RANK and type(lora["alpha"]) in (int, float)
+                    and math.isfinite(lora["alpha"]) and lora["alpha"] > 0):
+                raise DataError(f"{path}: the metadata's adapter settings {lora!r} are not a rank "
+                                f"from 1 to {MAX_LORA_RANK} and a finite alpha > 0")
+            cols = read("cols") if meta["version"] > 1 else np.arange(dim)
+            if not (cols.ndim == 1 and cols.dtype.kind in "iu" and np.all(cols[1:] > cols[:-1])
+                    and np.all((cols >= 0) & (cols < dim))):
+                raise DataError(f"{path}: array cols is not strictly increasing feature columns "
+                                f"below the metadata's feature dim {dim}")
+            expected = {"W0": (classes, len(cols)), "b": (classes,)}
+            if lora is not None:
+                expected.update(A=(lora["rank"], len(cols)), B=(classes, lora["rank"]))
+            arrays = {name: read(name) for name in expected}
+            for name, shape in expected.items():
+                if arrays[name].shape != shape:
+                    raise DataError(f"{path}: array {name} has shape {arrays[name].shape}, "
+                                    f"but the metadata implies {shape}")
+                if arrays[name].dtype.kind != "f" or not np.isfinite(arrays[name]).all():
+                    raise DataError(f"{path}: array {name} does not hold finite floats")
+            cfg = dict(meta["config"])
+            lora_cfg = cfg.pop("lora", None)
+            return TrainedModel(
+                featurizer=HashedNgramFeaturizer(**feature),
+                model=LinearModel(W0=arrays["W0"], b=arrays["b"]),
+                adapter=None if lora is None else LoraAdapter(A=arrays["A"], B=arrays["B"], **lora),
+                task=task, cols=cols, history=list(meta.get("history", [])),
+                config=TrainConfig(lora=None if lora_cfg is None else LoraConfig(**lora_cfg), **cfg),
+            )
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise DataError(f"{path}: malformed checkpoint metadata: {exc!r}") from None

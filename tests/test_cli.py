@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from xlproject import cli
+from xlproject import cli, training
 from xlproject.cli import (
     EXIT_BACKEND,
     EXIT_CONFIG,
@@ -31,6 +31,7 @@ from xlproject.corpus import (
     load_corpus,
     save_corpus,
 )
+from xlproject.model import loss_and_grads
 from xlproject.projection import spans_from_mask
 from xlproject.synthetic import mock_translation_table, synthetic_corpus
 from xlproject.training import (
@@ -560,7 +561,9 @@ class TestPredict:
         assert not predictions.exists()
 
     @pytest.mark.parametrize("damage", ["feature-dim", "lora-rank", "unsorted-cols", "cols-length",
-                                        "no-lora-key", "extra-feature-key"])
+                                        "no-lora-key", "extra-feature-key", "unknown-task",
+                                        "task-of-other-classes", "lora-rank-float",
+                                        "lora-alpha-nan"])
     def test_checkpoint_disagreeing_with_metadata_rejected(self, tmp_path, capsys, damage):
         model = self.trained_model(tmp_path, "trigger", LoraConfig(rank=3, alpha=8.0))
         with np.load(model) as data:
@@ -577,6 +580,14 @@ class TestPredict:
             del meta["lora"]
         elif damage == "extra-feature-key":
             meta["feature"]["lowercase"] = True
+        elif damage == "unknown-task":
+            meta["task"] = "sentiment"
+        elif damage == "task-of-other-classes":  # six emotions, but two classes
+            meta["task"] = "emotion"
+        elif damage == "lora-rank-float":
+            meta["lora"]["rank"] = float(meta["lora"]["rank"])
+        elif damage == "lora-alpha-nan":
+            meta["lora"]["alpha"] = float("nan")
         else:  # one column fewer than W0 and A have
             arrays["cols"] = cols[:-1]
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
@@ -1005,11 +1016,28 @@ def test_same_file_is_rejected_before_the_work(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "d_s.jsonl").read_bytes() == before
 
 
+def test_output_that_is_a_directory_is_rejected_before_any_write(tmp_path, capsys):
+    save_corpus(synthetic_corpus(20, seed=1), tmp_path / "d_s.jsonl")
+    split = ["split", "--input", str(tmp_path / "d_s.jsonl"),
+             "--output-train", str(tmp_path / "t.jsonl")]
+    assert main(split + ["--seed", "1", "--output-validation", str(tmp_path / "v.jsonl")]) == EXIT_OK
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    (tmp_path / "busy").mkdir()
+    capsys.readouterr()
+    assert main(split + ["--seed", "2", "--output-validation", str(tmp_path / "busy")]) == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: output {tmp_path / 'busy'} is a directory\n"
+    # The first split's training half and its sidecar are as it wrote them.
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 # A documented bad input (or a valid --scheme), the exit code and a fragment of what the
 # command prints. {tmp} is the test's directory (see bad_input_files); outputs go to {tmp}/out.
 SPLIT = ["split", "--input", "{tmp}/d_s.jsonl", "--output-train", "{tmp}/out/t.jsonl",
          "--output-validation", "{tmp}/out/v.jsonl"]
 PROJECT = ["project", "--input", "{tmp}/d_s.jsonl", "--output", "{tmp}/out/d_t.jsonl"]
+TRAIN = ["train", "--input", "{tmp}/d_s.jsonl", "--task", "trigger", "--epochs", "1",
+         "--feature-dim", "512", "--output", "{tmp}/out/model.npz"]
+PREDICT = ["predict", "--input", "{tmp}/d_s.jsonl", "--output", "{tmp}/out/predictions.jsonl"]
 BAD_INPUT_CASES = {
     "config-missing": (PROJECT + ["--tgt", "es", "--config", "{tmp}/nope.yaml"], EXIT_CONFIG,
                        "config file not found: {tmp}/nope.yaml"),
@@ -1132,9 +1160,75 @@ BAD_INPUT_CASES = {
     "not-utf8-parse-llm": (["parse-llm", "--input", "{tmp}/latin1.jsonl",
                             "--output", "{tmp}/out/labels.tsv"], EXIT_DATA,
                            "data error: {tmp}/latin1.jsonl line 2: not UTF-8 text"),
-    # split_train_validation is made to raise: a bug, not a bad input.
+    # A checkpoint that cannot be read, or holds values that train never writes.
+    "predict-checkpoint-bad-crc": (PREDICT + ["--model", "{tmp}/w0_crc.npz"], EXIT_DATA,
+                                   "data error: {tmp}/w0_crc.npz: cannot read array W0: "
+                                   "Bad CRC-32"),
+    "predict-checkpoint-string-W0": (PREDICT + ["--model", "{tmp}/w0_str.npz"], EXIT_DATA,
+                                     "data error: {tmp}/w0_str.npz: array W0 does not hold "
+                                     "finite floats"),
+    "predict-checkpoint-object-b": (PREDICT + ["--model", "{tmp}/b_object.npz"], EXIT_DATA,
+                                    "data error: {tmp}/b_object.npz: cannot read array b: "
+                                    "Object arrays cannot be loaded"),
+    "predict-checkpoint-nan-W0": (PREDICT + ["--model", "{tmp}/w0_nan.npz"], EXIT_DATA,
+                                  "data error: {tmp}/w0_nan.npz: array W0 does not hold "
+                                  "finite floats"),
+    "predict-checkpoint-window-string": (PREDICT + ["--model", "{tmp}/window_str.npz"], EXIT_DATA,
+                                         "data error: {tmp}/window_str.npz: the metadata's "
+                                         "featurizer settings"),
+    # Featurizing time grows with ngram_max; train writes 5.
+    "predict-checkpoint-huge-ngram-max": (PREDICT + ["--model", "{tmp}/ngram_max.npz"],
+                                          EXIT_DATA, "data error: {tmp}/ngram_max.npz: the "
+                                          "metadata's featurizer settings"),
+    "predict-checkpoint-ngram-min-0": (PREDICT + ["--model", "{tmp}/ngram_min_0.npz"], EXIT_DATA,
+                                       "data error: {tmp}/ngram_min_0.npz: the metadata's "
+                                       "featurizer settings"),
+    # A file to write, an output or its sidecar, that is a directory.
+    "split-output-is-a-directory": (["split", "--input", "{tmp}/d_s.jsonl",
+                                     "--output-train", "{tmp}/out/t.jsonl",
+                                     "--output-validation", "{tmp}/a_dir"], EXIT_DATA,
+                                    "data error: output {tmp}/a_dir is a directory"),
+    "split-sidecar-is-a-directory": (["split", "--input", "{tmp}/d_s.jsonl",
+                                      "--output-train", "{tmp}/busy.jsonl",
+                                      "--output-validation", "{tmp}/out/v.jsonl"], EXIT_DATA,
+                                     "data error: output {tmp}/busy.jsonl.provenance.json is a "
+                                     "directory"),
+    # A defect is injected (see DEFECTS): a bug, not a bad input, whatever its class.
     "internal-error": (SPLIT, EXIT_INTERNAL, "RuntimeError: split_train_validation broke"),
+    "internal-value-error": (TRAIN, EXIT_INTERNAL, "ValueError: operands could not be broadcast"),
+    "internal-non-finite-gradient": (TRAIN, EXIT_INTERNAL, "ValueError: non-finite gradient for"),
 }
+
+
+def raises(exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    return broken
+
+
+def non_finite_grads(*args):
+    loss, grads = loss_and_grads(*args)
+    return loss, {key: np.full_like(grad, np.nan) for key, grad in grads.items()}
+
+
+# The (module, name, replacement) each exit-5 case patches.
+DEFECTS = {
+    "internal-error": (cli, "split_train_validation",
+                       raises(RuntimeError("split_train_validation broke"))),
+    "internal-value-error": (cli, "train", raises(ValueError("operands could not be broadcast"))),
+    # Trips adamw_step's guard: features are L2-normalized, so only a bug makes a NaN.
+    "internal-non-finite-gradient": (training, "loss_and_grads", non_finite_grads),
+}
+
+
+def save_checkpoint(path, arrays, **feature):
+    """Save checkpoint ``arrays`` with the ``feature`` entries of their metadata replaced."""
+    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    meta["feature"].update(feature)
+    arrays = {**arrays, "meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)}
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
 
 
 @pytest.fixture
@@ -1168,6 +1262,23 @@ def bad_input_files(tmp_path):
     (tmp_path / "u.jsonl").write_text(
         '{"id": "u-1@es", "lang": "es", "tokens": ["hola"], "origin": "D_T"}\n')
     shutil.copy(tmp_path / "latin1.jsonl", tmp_path / "u.jsonl.pairs.jsonl")
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "busy.jsonl.provenance.json").mkdir()
+    save_model(train(corpus, "trigger", TrainConfig(epochs=1, feature_dim=512)),
+               tmp_path / "model.npz")
+    with np.load(tmp_path / "model.npz") as data:
+        arrays = {name: data[name] for name in data.files}
+    w0 = arrays["W0"]
+    save_checkpoint(tmp_path / "w0_str.npz", {**arrays, "W0": w0.astype(str)})
+    save_checkpoint(tmp_path / "w0_nan.npz", {**arrays, "W0": np.full_like(w0, np.nan)})
+    save_checkpoint(tmp_path / "b_object.npz", {**arrays, "b": arrays["b"].astype(object)})
+    save_checkpoint(tmp_path / "window_str.npz", arrays, window="2")
+    save_checkpoint(tmp_path / "ngram_max.npz", arrays, ngram_max=3_000_000)
+    save_checkpoint(tmp_path / "ngram_min_0.npz", arrays, ngram_min=0)
+    raw = bytearray((tmp_path / "model.npz").read_bytes())
+    at = raw.index(w0.tobytes())  # W0's data, stored uncompressed: flip 8 of its bytes
+    raw[at:at + 8] = bytes(byte ^ 0xFF for byte in raw[at:at + 8])
+    (tmp_path / "w0_crc.npz").write_bytes(bytes(raw))
     return tmp_path
 
 
@@ -1176,10 +1287,7 @@ def test_documented_bad_input_exit_code(bad_input_files, capsys, monkeypatch, ca
     argv, code, fragment = BAD_INPUT_CASES[case]
     tmp = bad_input_files
     if code == EXIT_INTERNAL:
-        def broken(*args, **kwargs):
-            raise RuntimeError("split_train_validation broke")
-
-        monkeypatch.setattr(cli, "split_train_validation", broken)
+        monkeypatch.setattr(*DEFECTS[case])
     assert main([arg.format(tmp=tmp) for arg in argv]) == code
     captured = capsys.readouterr()
     assert fragment.format(tmp=tmp) in captured.out + captured.err
