@@ -250,12 +250,17 @@ def parse_scheme(text: str | None) -> MarkerScheme:
         return MarkerScheme()
     candidate = Path(text)
     try:
-        raw = candidate.read_text(encoding="utf-8") if candidate.is_file() else text
+        is_file = candidate.is_file()
+    except OSError:  # not a name the file system takes, such as one too long: not a file
+        is_file = False
+    try:
+        raw = candidate.read_text(encoding="utf-8") if is_file else text
         data = json.loads(raw)
         pairs = tuple((str(pair[0]), str(pair[1])) for pair in data)
         return MarkerScheme(pairs=pairs)
     except (IndexError, TypeError, ValueError) as exc:  # ValueError: not JSON or not a scheme
-        raise ConfigError(f"invalid marker scheme {text!r}: {exc}") from None
+        shown = text if len(text) <= 60 else text[:60] + "..."  # the start of a long scheme
+        raise ConfigError(f"invalid marker scheme {shown!r}: {exc}") from None
 
 
 def load_nonempty(path: str, format: str) -> Corpus:

@@ -253,6 +253,22 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
         raise DataError(f"{path} line {bad}: not UTF-8 text: {exc.reason}") from None
 
 
+_SCAN = json.decoder.JSONDecoder().scan_once  # (value, end) of the JSON value at an index
+
+
+def _loads(line: str) -> object:
+    """``json.loads(line)``, through the scanner alone when the line is one
+    JSON value followed by JSON whitespace; any other line goes to
+    ``json.loads``, which accepts or rejects it with its own message."""
+    try:
+        value, end = _SCAN(line, 0)
+        if not line[end:].strip(" \t\n\r"):
+            return value
+    except (StopIteration, ValueError):
+        pass
+    return json.loads(line)
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
     """The line number and JSON value of every non-blank line of a file; a
     line that is not JSON is a :class:`DataError` naming file and line."""
@@ -260,7 +276,7 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
+            record = _loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path} line {lineno}: invalid JSON: {exc.msg}") from None
         yield lineno, record

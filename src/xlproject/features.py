@@ -79,14 +79,34 @@ class FeatureBlock:
     def select(self, cols: np.ndarray) -> FeatureBlock:
         """The block over the sorted feature columns ``cols`` only, re-indexed
         onto ``0..K-1`` in that order; entries in any other column are dropped."""
-        position = np.full(self.dim, -1, dtype=np.int64)
-        position[cols] = np.arange(len(cols))
+        return self._placed(_positions(cols, self.dim), len(cols))
+
+    def _placed(self, position: np.ndarray, width: int) -> FeatureBlock:
+        """The block with each entry's column ``j`` moved to ``position[j]``,
+        ``width`` columns wide; entries whose position is -1 are dropped."""
         indices = position[self.indices]
         kept = indices >= 0
         if kept.all():  # nothing to drop: the rows are shared
-            return FeatureBlock(self.indptr, indices, self.values, len(cols))
+            return FeatureBlock(self.indptr, indices, self.values, width)
         ends = np.concatenate(([0], np.cumsum(kept)))  # entries kept before each position
-        return FeatureBlock(ends[self.indptr], indices[kept], self.values[kept], len(cols))
+        return FeatureBlock(ends[self.indptr], indices[kept], self.values[kept], width)
+
+    @classmethod
+    def join(cls, blocks: Sequence[FeatureBlock], dim: int) -> FeatureBlock:
+        """The rows of these blocks, ``dim`` columns wide, one block after another."""
+        sizes = np.concatenate([np.zeros(0, dtype=np.int64)] + [np.diff(b.indptr) for b in blocks])
+        indptr = np.concatenate(([0], np.cumsum(sizes)))
+        indices = np.concatenate([np.zeros(0, dtype=np.int64)] + [b.indices for b in blocks])
+        values = np.concatenate([np.zeros(0)] + [b.values for b in blocks])
+        return cls(indptr, indices, values, dim)
+
+
+def _positions(cols: np.ndarray, dim: int) -> np.ndarray:
+    """The place of every feature column in the sorted ``cols``; -1 for a
+    column that is not in it."""
+    position = np.full(dim, -1, dtype=np.int64)
+    position[cols] = np.arange(len(cols))
+    return position
 
 
 # Sentences whose feature keys are counted together: bounds featurize's scratch memory.
@@ -129,9 +149,8 @@ class _WordColumns:
     context: dict[int, np.ndarray]
     dim: int
 
-    def rows(self, ids: np.ndarray, sizes: np.ndarray, pooled: bool):
-        """Per-row nonzero counts, column indices and values of the sentences
-        with these token word ids and lengths."""
+    def rows(self, ids: np.ndarray, sizes: np.ndarray, pooled: bool) -> FeatureBlock:
+        """The rows of the sentences with these token word ids and lengths."""
         sentence_of = np.repeat(np.arange(len(sizes)), sizes)
         position = np.arange(len(ids)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         row_of_token = sentence_of if pooled else np.arange(len(ids))
@@ -151,7 +170,9 @@ class _WordColumns:
         row = keys // self.dim
         values = counts.astype(np.float64)
         norms = np.sqrt(np.bincount(row, weights=values * values, minlength=num_rows))
-        return np.bincount(row, minlength=num_rows), keys - row * self.dim, values / norms[row]
+        indptr = np.zeros(num_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=num_rows), out=indptr[1:])
+        return FeatureBlock(indptr, keys - row * self.dim, values / norms[row], self.dim)
 
 
 @dataclass(frozen=True)
@@ -190,13 +211,19 @@ class HashedNgramFeaturizer:
             context=context, dim=self.dim,
         )
 
-    def featurize(self, sentences: Sequence[Sequence[str]], pooled: bool = False) -> FeatureBlock:
+    def featurize(
+        self, sentences: Sequence[Sequence[str]], pooled: bool = False,
+        cols: np.ndarray | None = None,
+    ) -> FeatureBlock:
         """One row per token of every sentence, in order; with ``pooled``, one
         row per sentence pooling the features of all its tokens.
 
         A token's features are its word features plus ``ctx<offset>=<word>``
         for every neighbour within the window. Each row holds the hashed
-        feature counts, L2-normalized.
+        feature counts, L2-normalized. With ``cols``, sorted feature columns,
+        the block is ``featurize(sentences, pooled).select(cols)``, selected a
+        chunk of sentences at a time, so the block over every column is never
+        held whole.
         """
         vocab: dict[str, int] = {}
         word_ids: list[int] = []
@@ -212,18 +239,16 @@ class HashedNgramFeaturizer:
             raise ValueError(f"feature dim {self.dim} overflows the row keys")
 
         memo = self._memo(vocab)
-        # (nonzeros per row, indices, values), one piece per chunk of sentences
-        parts = ([np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)])
+        position = None if cols is None else _positions(cols, self.dim)
+        width = self.dim if cols is None else len(cols)
+        blocks = []
         first_token = np.cumsum(sizes) - sizes
         for lo in range(0, len(sizes), _CHUNK_SENTENCES):
             chunk = sizes[lo:lo + _CHUNK_SENTENCES]
             start = first_token[lo]
-            for part, piece in zip(parts, memo.rows(ids[start:start + chunk.sum()], chunk, pooled)):
-                part.append(piece)
-        nnz, indices, values = (np.concatenate(part) for part in parts)
-        indptr = np.zeros(len(nnz) + 1, dtype=np.int64)
-        np.cumsum(nnz, out=indptr[1:])
-        return FeatureBlock(indptr, indices, values, self.dim)
+            block = memo.rows(ids[start:start + chunk.sum()], chunk, pooled)
+            blocks.append(block if position is None else block._placed(position, width))
+        return FeatureBlock.join(blocks, width)
 
     def token_features(self, tokens: list[str]) -> list[FeatureVector]:
         """One vector per token, in token order."""

@@ -1,6 +1,7 @@
 """AdamW with decoupled weight decay, over named numpy parameter dicts."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -8,6 +9,13 @@ import numpy as np
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+# Elements per chunk of the update: bounds the step's work arrays, whatever the head's size.
+_CHUNK_ELEMENTS = 2**16
+
+
+def _chunk_columns(shape: tuple[int, ...]) -> int:
+    """Last-axis columns per chunk of a parameter of this shape; at least one."""
+    return max(1, _CHUNK_ELEMENTS // max(1, math.prod(shape[:-1])))
 
 
 @dataclass
@@ -15,14 +23,17 @@ class AdamWState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
-    scratch: dict[str, np.ndarray] = field(default_factory=dict)  # work arrays, reused
+    # Two flat work arrays, each one chunk of the largest parameter, reused by every step.
+    work: tuple[np.ndarray, np.ndarray] = (np.empty(0), np.empty(0))
 
     @classmethod
     def init(cls, params: dict[str, np.ndarray]) -> AdamWState:
+        size = max((math.prod(p.shape[:-1]) * min(p.shape[-1], _chunk_columns(p.shape))
+                    for p in params.values()), default=0)
         return cls(
             m={k: np.zeros_like(p) for k, p in params.items()},
             v={k: np.zeros_like(p) for k, p in params.items()},
-            scratch={k: np.empty_like(p) for k, p in params.items()},
+            work=(np.empty(size), np.empty(size)),
         )
 
 
@@ -32,6 +43,7 @@ def adamw_step(
     grads: dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]],
     lr: float,
     weight_decay: float = 0.0,
+    out: dict[str, np.ndarray] | None = None,
 ) -> tuple[dict[str, np.ndarray], AdamWState]:
     """One update: moment updates, bias correction, then
     theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta).
@@ -45,9 +57,13 @@ def adamw_step(
     point of AdamW.
 
     Weight decay acts on the parameters directly, never through the moments.
-    The state's moments are updated in place, and its scratch arrays reused;
-    ``params`` is left as given and the updated parameters are new arrays.
-    Raises on non-finite gradients so training aborts before corrupting state.
+    The state's moments are updated in place. The updated parameters are
+    written into ``out``, arrays shaped like ``params`` that may be
+    ``params`` itself; by default they are new arrays and ``params`` is left
+    as given. Bias correction and the update run a chunk of columns at a
+    time, in the state's work arrays, so an in-place step with column
+    gradients allocates nothing parameter-sized. Raises on non-finite
+    gradients so training aborts before corrupting state.
     """
     if set(params) != set(grads):
         raise ValueError(f"param/grad keys differ: {sorted(params)} vs {sorted(grads)}")
@@ -57,15 +73,17 @@ def adamw_step(
         if not np.isfinite(values).all():
             raise ValueError(f"non-finite gradient for {key!r}")
         columns[key] = cols, values
+    if out is None:
+        out = {key: np.empty_like(theta) for key, theta in params.items()}
     state.step += 1
     t = state.step
     bias1 = 1.0 - BETA1**t
     bias2 = 1.0 - BETA2**t
-    updated: dict[str, np.ndarray] = {}
+    work_step, work_denom = state.work
     for key, theta in params.items():
         cols, values = columns[key]
         width = theta.shape[-1]
-        m, v, scratch = (arrays[key][..., :width] for arrays in (state.m, state.v, state.scratch))
+        m, v = state.m[key][..., :width], state.v[key][..., :width]
         # The moments decay in place, then take the gradient terms at their
         # columns, each term rounded as in beta * m + (1 - beta) * grad (* grad).
         # Elsewhere the dense form would add +0.0, which changes nothing:
@@ -77,15 +95,23 @@ def adamw_step(
         term = np.multiply(1.0 - BETA2, values)
         term *= values
         v[..., cols] += term
-        denom = np.divide(v, bias2, out=scratch)
-        np.sqrt(denom, out=denom)
-        denom += EPS
-        step = np.divide(m, bias1)
-        step /= denom
-        # At weight_decay 0 the term would add a signed zero, which changes no
-        # updated parameter, so it is skipped.
-        if weight_decay != 0.0:
-            step += np.multiply(weight_decay, theta, out=scratch)
-        step *= lr
-        updated[key] = np.subtract(theta, step, out=step)
-    return updated, state
+        # Each element takes the same operations in the same order in any
+        # chunk, so the update does not depend on the chunk size.
+        lead, span = theta.shape[:-1], _chunk_columns(theta.shape)
+        for lo in range(0, width, span):
+            part = slice(lo, lo + span)
+            shape = (*lead, min(span, width - lo))
+            size = math.prod(shape)
+            step, denom = work_step[:size].reshape(shape), work_denom[:size].reshape(shape)
+            np.divide(v[..., part], bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += EPS
+            np.divide(m[..., part], bias1, out=step)
+            step /= denom
+            # At weight_decay 0 the term would add a signed zero, which changes
+            # no updated parameter, so it is skipped.
+            if weight_decay != 0.0:
+                step += np.multiply(weight_decay, theta[..., part], out=denom)
+            step *= lr
+            np.subtract(theta[..., part], step, out=out[key][..., part])
+    return out, state

@@ -111,7 +111,7 @@ class TrainedModel:
     def predict(self, corpus: Corpus) -> list[dict]:
         """Prediction records of every sentence, from one featurization of the
         corpus and one set of logits."""
-        block = _featurize(self.featurizer, self.task, corpus).select(self.cols)
+        block = _featurize(self.featurizer, self.task, corpus, self.cols)
         logits = forward(self.model, self.adapter, block)
         if self.task == "emotion":
             return [
@@ -140,9 +140,14 @@ def num_classes(task: str) -> int:
     return len(EMOTION_ORDER) if task == "emotion" else 2
 
 
-def _featurize(featurizer: HashedNgramFeaturizer, task: str, corpus: Corpus) -> FeatureBlock:
-    """One row per sentence for emotion, one per token for triggers."""
-    return featurizer.featurize([s.tokens for s in corpus.sentences], pooled=task == "emotion")
+def _featurize(
+    featurizer: HashedNgramFeaturizer, task: str, corpus: Corpus, cols: np.ndarray | None = None
+) -> FeatureBlock:
+    """One row per sentence for emotion, one per token for triggers; over the
+    feature columns ``cols`` only, when given."""
+    return featurizer.featurize(
+        [s.tokens for s in corpus.sentences], pooled=task == "emotion", cols=cols
+    )
 
 
 def _labels(task: str, corpus: Corpus) -> list[int]:
@@ -206,7 +211,7 @@ def train(
     cols, block = _featurize(featurizer, task, corpus).compact()
     labels = np.array(_labels(task, corpus))
     if validation is not None:
-        validation_block = _featurize(featurizer, task, validation).select(cols)
+        validation_block = _featurize(featurizer, task, validation, cols)
     adapter = None if config.lora is None else LoraAdapter.init(
         classes, len(cols), rank=config.lora.rank, alpha=config.lora.alpha, rng=rng
     )
@@ -251,8 +256,7 @@ def train(
             if config.schedule == "linear":
                 lr = config.lr * (1.0 - step / total_steps)
             views = {**params, wide: params[wide][:, :live]}
-            for key, value in adamw_step(state, views, grads, lr, config.weight_decay)[0].items():
-                views[key][...] = value
+            adamw_step(state, views, grads, lr, config.weight_decay, out=views)
             step += 1
         record = {"epoch": epoch, "train_loss": epoch_loss / len(labels)}
         if validation is not None:
@@ -263,7 +267,9 @@ def train(
             record["validation_score"] = score
             if score > best_score:
                 best_score = score
-                best_params = {k: p.copy() for k, p in params.items()}
+                # After the last epoch the best parameters are the head's own.
+                last = epoch == config.epochs - 1
+                best_params = None if last else {k: p.copy() for k, p in params.items()}
         trained.history.append(record)
 
     if best_params is not None:

@@ -191,7 +191,10 @@ class TranslationCache:
                 flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_APPEND
                 self._fd = os.open(self._segment, flags, 0o644)
                 self._lines = 0
-            written = os.write(self._fd, line)
+            try:
+                written = os.write(self._fd, line)
+            except OSError as exc:  # name the segment, which os.write does not
+                raise OSError(exc.errno, exc.strerror, str(self._segment)) from None
             if written != len(line):
                 # The partial line stays last in its segment, where the next open skips it.
                 self.close()
@@ -226,8 +229,9 @@ def translate_batch(
     Duplicate texts are translated once. At most ``parallelism`` requests are
     in flight; at 1 they run inline, in text order. Each text is tried up
     to ``RETRIES`` times with exponential backoff. Successful translations
-    are cached before any failure propagates, so a rerun resumes from the
-    partial results.
+    are cached, in text order, before any failure propagates, so a rerun
+    resumes from the partial results. Only backend failures become a
+    :class:`TranslationError`; an error writing the cache propagates as it is.
     """
     if src == tgt:
         raise ValueError(f"source and target language are both {src!r}")
@@ -258,11 +262,6 @@ def translate_batch(
                     time.sleep(backoff * 2**attempt)
         else:
             raise TranslationError(str(last_error)) from last_error
-        if cache is not None:
-            cache.put(
-                cache_key(text, src, tgt, backend.backend_id),
-                text, translated, src, tgt, backend.backend_id,
-            )
         return translated
 
     def settle(text: str) -> tuple[str | None, Exception | None]:
@@ -278,6 +277,13 @@ def translate_batch(
         else:
             with ThreadPoolExecutor(max_workers=parallelism) as pool:
                 outcomes = list(pool.map(settle, unique_texts))
+        # Every translation obtained is cached, in text order, before a backend
+        # failure is reported; a cache error is not a backend failure.
+        if cache is not None:
+            for text, (translated, error) in zip(unique_texts, outcomes):
+                if error is None:
+                    cache.put(cache_key(text, src, tgt, backend.backend_id),
+                              text, translated, src, tgt, backend.backend_id)
         # Texts are in order of first use, so the first failure has the lowest index.
         for text, (translated, error) in zip(unique_texts, outcomes):
             if error is not None:

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import os
 import shutil
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from xlproject import cli, training
+from xlproject import cli, training, translate
 from xlproject.cli import (
     EXIT_BACKEND,
     EXIT_CONFIG,
@@ -159,6 +160,30 @@ class TestCommands:
         err = capsys.readouterr().err
         assert f"data error: corrupt translation-cache segment {segment} line 2:" in err
         assert "Traceback" not in err
+
+    def test_project_cache_write_error_is_a_data_error(self, tmp_path, capsys, monkeypatch):
+        save_corpus(synthetic_corpus(3, seed=1), tmp_path / "ds.jsonl")
+        real_write = translate.os.write
+        records = []
+
+        def write(fd, data):  # the second cache record finds the disk full
+            if b'\t{"text": ' in data:
+                records.append(data)
+                if len(records) == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write(fd, data)
+
+        monkeypatch.setattr(translate.os, "write", write)
+        code = main([
+            "project", "--input", str(tmp_path / "ds.jsonl"), "--output", str(tmp_path / "o.jsonl"),
+            "--tgt", "es", "--cache-dir", str(tmp_path / "cache"),
+        ])
+        (segment,) = (tmp_path / "cache").glob("*.jsonl")
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: [Errno 28] No space left on device: '{segment}'\n")
+        assert len(segment.read_text().splitlines()) == 1
+        assert not (tmp_path / "o.jsonl").exists()
 
     def test_project_reports_its_cache_use(self, tmp_path, capsys):
         save_corpus(synthetic_corpus(4, seed=1), tmp_path / "ds.jsonl")
@@ -1038,6 +1063,9 @@ PROJECT = ["project", "--input", "{tmp}/d_s.jsonl", "--output", "{tmp}/out/d_t.j
 TRAIN = ["train", "--input", "{tmp}/d_s.jsonl", "--task", "trigger", "--epochs", "1",
          "--feature-dim", "512", "--output", "{tmp}/out/model.npz"]
 PREDICT = ["predict", "--input", "{tmp}/d_s.jsonl", "--output", "{tmp}/out/predictions.jsonl"]
+# Inline schemes of 400 pairs, too long to be a file name; the second has one-symbol pairs.
+LONG_SCHEME = json.dumps([[f"<{i}<", f">{i}>"] for i in range(400)])
+LONG_BAD_SCHEME = json.dumps([[f"<{i}<"] for i in range(400)])
 BAD_INPUT_CASES = {
     "config-missing": (PROJECT + ["--tgt", "es", "--config", "{tmp}/nope.yaml"], EXIT_CONFIG,
                        "config file not found: {tmp}/nope.yaml"),
@@ -1074,6 +1102,12 @@ BAD_INPUT_CASES = {
                     "projected 3 of 6 sentences to es (3 discarded)"),
     "scheme-bad-pair": (PROJECT + ["--tgt", "es", "--scheme", "[[1]]"], EXIT_CONFIG,
                         "invalid marker scheme '[[1]]'"),
+    "scheme-inline-long": (PROJECT + ["--tgt", "es", "--scheme", LONG_SCHEME], EXIT_OK,
+                           "projected 6 of 6 sentences to es (0 discarded)"),
+    # The message quotes only the start of the scheme.
+    "scheme-long-bad-pair": (
+        PROJECT + ["--tgt", "es", "--scheme", LONG_BAD_SCHEME], EXIT_CONFIG,
+        f"invalid marker scheme {LONG_BAD_SCHEME[:60] + '...'!r}: list index out of range\n"),
     "split-fraction": (SPLIT + ["--fraction", "1.5"], EXIT_CONFIG,
                        "--fraction must be in (0, 1), got 1.5"),
     "project-unknown-tgt": (PROJECT + ["--tgt", "xx"], EXIT_CONFIG, "--tgt must be one of"),

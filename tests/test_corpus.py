@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import json
 import sys
@@ -18,6 +19,7 @@ from xlproject.corpus import (
     _sentence_from_record,
     label_distribution,
     load_corpus,
+    read_jsonl,
     save_corpus,
     split_train_validation,
 )
@@ -519,3 +521,45 @@ def test_text_that_is_not_utf8_names_file_and_line(tmp_path, format, good, befor
         load_corpus(path, format=format)
     line = text.count("\n") + 1
     assert str(info.value) == f"{path} line {line}: not UTF-8 text: invalid continuation byte"
+
+
+def json_loads_reference(path):
+    """The records of a JSONL file through ``json.loads`` alone, and the message
+    of the first line that is not JSON (None if none)."""
+    records = []
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                records.append((lineno, json.loads(line)))
+            except json.JSONDecodeError as exc:
+                return records, f"{path} line {lineno}: invalid JSON: {exc.msg}"
+    return records, None
+
+
+@pytest.mark.parametrize("text", [
+    '{"id": 1}\n\n  \t\n{"id": 2}\n',
+    '  \t{"id": 1}\n',
+    '\ufeff{"id": 1}\n',
+    '{"id": 1} x\n',
+    '{"id": 1}{"id": 2}\n',
+    '{"id": 1}\n\u00a0{"id": 2}\n',
+    '{"id": 1}\u00a0\n',
+    '\u00a0\n{"id": 1}\u3000\n',
+    '{"id": 1} \t\r\n[2]\r{"id": 3}',
+    '{"id": 1',
+    '{"id": [1,]}\n',
+    "hello\n",
+], ids=["blank-lines", "leading-whitespace", "bom", "trailing-garbage", "two-values",
+        "nbsp-before", "nbsp-after", "nbsp-blank-line", "json-whitespace-after", "truncated",
+        "trailing-comma", "not-json"])
+def test_jsonl_lines_read_as_json_loads_reads_them(tmp_path, text):
+    path = tmp_path / "c.jsonl"
+    path.write_text(text, encoding="utf-8", newline="")
+    records, message = json_loads_reference(path)
+    got = []
+    with pytest.raises(CorpusFormatError) if message else contextlib.nullcontext() as info:
+        got.extend(read_jsonl(path))
+    assert got == records
+    assert (str(info.value) if message else None) == message

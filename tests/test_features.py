@@ -71,9 +71,8 @@ def assert_blocks_match_reference(featurizer, sentences) -> None:
 
 
 # Few distinct words, so sentences repeat them; some are non-ASCII or one character.
-WORDS = st.sampled_from(
-    ["a", "the", "cat", "ü", "naïve", "日本語", "зима", "a-b", "zqglow", "ab"]
-)
+WORD_LIST = ["a", "the", "cat", "ü", "naïve", "日本語", "зима", "a-b", "zqglow", "ab"]
+WORDS = st.sampled_from(WORD_LIST)
 SENTENCES = st.lists(st.lists(WORDS, min_size=1, max_size=7), min_size=1, max_size=6)
 
 
@@ -174,6 +173,27 @@ def test_compact_equals_unique_and_searchsorted(block):
     assert compact.indices.dtype == remapped.dtype and np.array_equal(compact.indices, remapped)
     assert compact.dim == len(want)
     assert compact.indptr is block.indptr and compact.values is block.values
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pooled=st.booleans(), dim=st.integers(2, 64),
+       kind=st.sampled_from(["empty", "full", "random"]))
+def test_featurize_onto_columns_equals_select(seed, pooled, dim, kind):
+    rng = random.Random(seed)
+    count = rng.randint(features._CHUNK_SENTENCES + 1, 2 * features._CHUNK_SENTENCES + 10)
+    sentences = [rng.choices(WORD_LIST, k=rng.randint(1, 4)) for _ in range(count)]
+    cols = np.array({
+        "empty": [],
+        "full": range(dim),
+        "random": sorted(rng.sample(range(dim), rng.randint(0, dim))),
+    }[kind], dtype=np.int64)
+    featurizer = HashedNgramFeaturizer(dim=dim)
+    got = featurizer.featurize(sentences, pooled, cols=cols)
+    want = featurizer.featurize(sentences, pooled).select(cols)
+    assert got.dim == want.dim == len(cols)
+    for name in ("indptr", "indices", "values"):
+        value, expected = getattr(got, name), getattr(want, name)
+        assert value.dtype == expected.dtype and np.array_equal(value, expected)
 
 
 def test_stack_rebuilds_the_block_from_its_rows():

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from xlproject.model import (
     restrict,
     softmax,
 )
+from xlproject import optim
 from xlproject.optim import AdamWState, adamw_step
 
 import per_instance_oracle
@@ -321,6 +323,61 @@ class TestAdamW:
         with pytest.raises(ValueError, match="non-finite gradient for 'w'"):
             adamw_step(state, params, {"w": (np.array([0, 3]), values)}, lr=0.1)
         assert state.step == 0 and not state.m["w"].any()  # nothing was updated
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("chunk", [4096, 30, 21], ids=["one-chunk", "chunks", "ragged"])
+    def test_in_place_step_bit_identical_to_out_of_place_oracle(
+        self, monkeypatch, chunk, sparse, weight_decay
+    ):
+        # W0 has 3 rows: chunks of 30 elements are 10 columns, of 21 elements 7,
+        # so 50 columns end in a chunk of one.
+        monkeypatch.setattr(optim, "_CHUNK_ELEMENTS", chunk)
+        rng = np.random.default_rng(29)
+        params = {"W0": np.zeros((3, 50)), "b": np.zeros(3)}
+        params["W0"][:, :20] = rng.normal(size=(3, 20))
+        state = AdamWState.init(params)
+        work = state.work
+        want = {key: p.copy() for key, p in params.items()}
+        oracle = ({k: np.zeros_like(p) for k, p in params.items()},) * 2 + (0,)
+        # The parameter is narrower than its state until the last steps.
+        for width in (20, 20, 33, 33, 50, 50):
+            views = {"W0": params["W0"][:, :width], "b": params["b"]}
+            cols = np.sort(rng.choice(width, size=6, replace=False))
+            values = rng.normal(size=(3, 6))
+            dense = np.zeros((3, 50))
+            dense[:, cols] = values
+            grads = {"W0": (cols, values) if sparse else dense[:, :width], "b": rng.normal(size=3)}
+            updated, _ = adamw_step(state, views, grads, 2e-4, weight_decay, out=views)
+            assert updated is views
+            want, oracle = per_instance_oracle.adamw_step(
+                oracle, want, {**grads, "W0": dense}, 2e-4, weight_decay)
+            for key in params:
+                assert params[key].tobytes() == want[key].tobytes()
+                assert state.m[key].tobytes() == oracle[0][key].tobytes()
+                assert state.v[key].tobytes() == oracle[1][key].tobytes()
+        assert state.work is work  # allocated once, by init
+
+    def test_in_place_step_allocates_less_than_a_parameter(self):
+        # Counted by tracemalloc, which sees numpy's buffers; a column gradient, as in train.
+        rng = np.random.default_rng(31)
+        params = {"W0": rng.normal(size=(6, 50_000)), "b": rng.normal(size=6)}
+        state = AdamWState.init(params)
+        cols = np.sort(rng.choice(50_000, size=400, replace=False))
+        grads = {"W0": (cols, rng.normal(size=(6, 400))), "b": rng.normal(size=6)}
+        peaks = []
+        tracemalloc.start()
+        try:
+            for out in (params, None):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                adamw_step(state, params, grads, 2e-4, 0.01, out=out)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        in_place, out_of_place = peaks
+        assert in_place < params["W0"].nbytes <= out_of_place
+        assert all(w.size < params["W0"].size for w in state.work)
 
     def test_hand_derived_first_step(self):
         # t=1: m_hat = 1, v_hat = 1 -> theta' = 1 - 0.1 / (1 + eps) ~ 0.9

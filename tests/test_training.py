@@ -318,6 +318,31 @@ class TestTouchedColumnTraining:
         last = train(corpus, task, config)  # no validation: the last epoch's parameters
         assert not np.array_equal(last.model.W0, got.model.W0)
 
+    @pytest.mark.parametrize("task, lora, seed, epochs, best", [
+        ("emotion", None, 2, 3, 2),
+        ("emotion", LoraConfig(rank=3, alpha=8.0), 0, 3, 2),
+        ("trigger", None, 0, 1, 0),
+        ("trigger", None, 1, 3, 1),
+        ("emotion", LoraConfig(rank=3, alpha=8.0), 4, 3, 0),
+        ("emotion", None, 1, 3, 0),  # the last epoch ties the first, which wins
+    ], ids=["last", "last-lora", "only", "middle", "first-lora", "first-tied-by-last"])
+    def test_best_epoch_restored(self, task, lora, seed, epochs, best):
+        # The head is snapshotted at a best epoch before the last one, and
+        # restored from it when no later epoch beats it.
+        corpus = synthetic_corpus(24, seed=21 + seed)
+        validation = synthetic_corpus(12, seed=40 + seed, id_prefix="v")
+        config = small_config(epochs=epochs, batch_size=8, seed=seed, lora=lora,
+                              feature_dim=2**11)
+        expected, _ = dense_reference_train(corpus, task, config, validation)
+        got = train(corpus, task, config, validation=validation)
+        scores = [record["validation_score"] for record in got.history]
+        assert scores.index(max(scores)) == best
+        assert got.history == expected.history
+        dim = config.feature_dim
+        for value, want in zip(full_width_arrays(got, dim), full_width_arrays(expected, dim),
+                               strict=True):
+            assert value.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("lora", [None, LoraConfig(rank=3, alpha=8.0)], ids=["plain", "lora"])
     def test_input_touching_no_trained_column_gives_bias_logits(self, lora):
         trained = train(synthetic_corpus(10, seed=23), "trigger", small_config(lora=lora))

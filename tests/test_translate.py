@@ -1,9 +1,11 @@
+import errno
 import json
 import re
 import threading
 
 import pytest
 
+from xlproject import translate
 from xlproject.translate import (
     RETRIES,
     DictionaryBackend,
@@ -133,6 +135,25 @@ class TestCaching:
         assert cache.get(key) == "x"
         assert TranslationCache(tmp_path / "cache").get(key) == "x"
 
+    def test_put_names_its_segment_when_a_write_fails(self, tmp_path, monkeypatch):
+        real_write = translate.os.write
+
+        def write(fd, data):
+            if b'"text": "b"' in data:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write(fd, data)
+
+        monkeypatch.setattr(translate.os, "write", write)
+        with TranslationCache(tmp_path / "cache") as cache:
+            cache.put(cache_key("a", "en", "es", "x"), "a", "A", "en", "es", "x")
+            with pytest.raises(OSError) as info:
+                cache.put(cache_key("b", "en", "es", "x"), "b", "B", "en", "es", "x")
+            assert cache.get(cache_key("b", "en", "es", "x")) is None
+        (segment,) = segments(tmp_path / "cache")
+        assert (info.value.errno, info.value.filename) == (errno.ENOSPC, str(segment))
+        assert str(info.value) == f"[Errno 28] No space left on device: '{segment}'"
+        assert len(segment.read_text().splitlines()) == 1
+
     def test_warm_run_writes_nothing(self, tmp_path):
         with TranslationCache(tmp_path / "cache") as cache:
             translate_batch(["a", "b"], "en", "es", IdentityBackend(), cache=cache)
@@ -243,6 +264,29 @@ class TestRetries:
         assert info.value.index == 1
         # successful texts were cached before the failure propagated
         assert cache.get(cache_key("ok", "en", "es", "flaky")) == "OK"
+
+    @pytest.mark.parametrize("parallelism", [1, 8])
+    def test_cache_error_is_not_a_backend_failure(self, tmp_path, monkeypatch, parallelism):
+        real_put = TranslationCache.put
+
+        def put(self, key, text, *rest):
+            if text == "b":
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real_put(self, key, text, *rest)
+
+        monkeypatch.setattr(TranslationCache, "put", put)
+        backend = FlakyBackend(failures={}, permanent_fail={"c"})
+        with TranslationCache(tmp_path / "cache") as cache:
+            with pytest.raises(OSError, match="No space left on device") as info:
+                translate_batch(["a", "b", "c", "d"], "en", "es", backend, cache=cache,
+                                parallelism=parallelism, backoff=0.0)
+        assert not isinstance(info.value, TranslationError)
+        # Each text went to the backend once, the failing one RETRIES times, none again
+        # for the cache error; what was cached before it stays cached.
+        assert backend.calls == 3 + RETRIES
+        reopened = TranslationCache(tmp_path / "cache")
+        assert [reopened.get(cache_key(t, "en", "es", "flaky")) for t in "abcd"] == [
+            "A", None, None, None]
 
     def test_parallel_batch(self, tmp_path):
         backend = IdentityBackend()
