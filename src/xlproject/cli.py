@@ -484,7 +484,7 @@ def _finite_numbers(values, length: int) -> bool:
 
 
 def cmd_evaluate(args) -> None:
-    gold = load_corpus(args.gold, format=args.format)
+    gold = load_nonempty(args.gold, args.format)
     predictions_path = Path(args.predictions)
     by_id: dict[str, tuple[int, dict]] = {}
     seen: dict = {}

@@ -10,12 +10,18 @@ A corpus is featurized in one call into a :class:`FeatureBlock`, a CSR
 matrix with one row per token (or per sentence). Within that call each
 distinct word's own features, and each word's context features, are hashed
 once; no feature is cached across calls.
+
+A block is narrowed onto a sorted set of feature columns through a
+:class:`_Placement`: a bitmap of the set, one bit per hashed column, and for
+each 64-bit word the count of the set's columns up to its end. Its scratch is
+16 bytes per 64 hashed columns, so no table as wide as the hashed dimension
+is built after hashing.
 """
 from __future__ import annotations
 
 import functools
 import hashlib
-from collections.abc import Collection, Iterable, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,25 +77,22 @@ class FeatureBlock:
     def compact(self) -> tuple[np.ndarray, FeatureBlock]:
         """The sorted feature columns the rows touch, and the block re-indexed
         onto ``0..K-1`` in that order."""
-        touched = np.zeros(self.dim, dtype=bool)
-        touched[self.indices] = True
-        cols = np.flatnonzero(touched)
+        cols = _distinct(self.indices)
         return cols, self.select(cols)
 
     def select(self, cols: np.ndarray) -> FeatureBlock:
         """The block over the sorted feature columns ``cols`` only, re-indexed
         onto ``0..K-1`` in that order; entries in any other column are dropped."""
-        return self._placed(_positions(cols, self.dim), len(cols))
+        return self._placed(_Placement.of(cols, self.dim))
 
-    def _placed(self, position: np.ndarray, width: int) -> FeatureBlock:
-        """The block with each entry's column ``j`` moved to ``position[j]``,
-        ``width`` columns wide; entries whose position is -1 are dropped."""
-        indices = position[self.indices]
-        kept = indices >= 0
+    def _placed(self, placement: _Placement) -> FeatureBlock:
+        """The block moved onto the columns of ``placement``; entries in any
+        other column are dropped."""
+        indices, kept = placement.place(self.indices)
         if kept.all():  # nothing to drop: the rows are shared
-            return FeatureBlock(self.indptr, indices, self.values, width)
+            return FeatureBlock(self.indptr, indices, self.values, placement.width)
         ends = np.concatenate(([0], np.cumsum(kept)))  # entries kept before each position
-        return FeatureBlock(ends[self.indptr], indices[kept], self.values[kept], width)
+        return FeatureBlock(ends[self.indptr], indices[kept], self.values[kept], placement.width)
 
     @classmethod
     def join(cls, blocks: Sequence[FeatureBlock], dim: int) -> FeatureBlock:
@@ -101,12 +104,53 @@ class FeatureBlock:
         return cls(indptr, indices, values, dim)
 
 
-def _positions(cols: np.ndarray, dim: int) -> np.ndarray:
-    """The place of every feature column in the sorted ``cols``; -1 for a
-    column that is not in it."""
-    position = np.full(dim, -1, dtype=np.int64)
-    position[cols] = np.arange(len(cols))
-    return position
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, sorted, as ``np.unique`` gives them, from one sort
+    and one comparison: many times faster than ``np.unique`` on numpy 2."""
+    values = np.sort(values)
+    first = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
+@dataclass
+class _Placement:
+    """Where each feature column goes when a block is narrowed onto the sorted,
+    distinct columns ``cols``. Column ``j`` is in ``cols`` when bit ``j % 64``
+    of ``bits[j // 64]`` is set. ``through[w]`` counts the columns of ``cols``
+    in words ``0..w``, so ``j``'s place in ``cols`` is ``through[j // 64]``
+    less the set bits of its word from its own bit up."""
+
+    bits: np.ndarray  # (ceil(dim / 64),) uint64
+    through: np.ndarray  # (ceil(dim / 64),) int64
+
+    @classmethod
+    def of(cls, cols: np.ndarray, dim: int) -> _Placement:
+        cols = np.asarray(cols, dtype=np.int64)
+        bits = np.zeros(-(-dim // 64), dtype=np.uint64)
+        # The columns are distinct, so adding their bits sets each one once.
+        np.add.at(bits, cols >> 6, np.uint64(1) << (cols & 63).astype(np.uint64))
+        through = np.bitwise_count(bits).astype(np.int64)
+        np.cumsum(through, out=through)  # in place: a cast cumsum would copy
+        return cls(bits, through)
+
+    @property
+    def width(self) -> int:
+        """The number of columns placed, ``len(cols)``."""
+        return int(self.through[-1])
+
+    def place(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The place in ``cols`` of each of these columns, and whether it is in
+        ``cols`` at all; where it is not, the place means nothing."""
+        word = indices >> 6
+        places = self.through[word]
+        high = self.bits[word]
+        shift = np.bitwise_and(indices, 63, out=word).view(np.uint64)  # word's buffer, reused
+        high >>= shift  # the column's bit, now bit 0, and those above it
+        del word, shift
+        places -= np.bitwise_count(high)
+        high <<= 63  # the column's bit alone
+        return places, high.astype(bool)
 
 
 # Sentences whose feature keys are counted together: bounds featurize's scratch memory.
@@ -174,6 +218,62 @@ class _WordColumns:
         np.cumsum(np.bincount(row, minlength=num_rows), out=indptr[1:])
         return FeatureBlock(indptr, keys - row * self.dim, values / norms[row], self.dim)
 
+    def touched(self, ids: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """The sorted columns that the rows of these sentences touch, pooled
+        or not: every word's own columns (each word of the memo occurs), and
+        at each window offset the context column of every word that is some
+        token's neighbour there."""
+        position = np.arange(len(ids)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        length = np.repeat(sizes, sizes)
+        columns = [self.own]
+        for offset, context in self.context.items():
+            occurs = np.zeros(len(self.counts), dtype=bool)
+            occurs[ids[(position >= offset) & (position - offset < length)]] = True
+            columns.append(context[occurs])
+        return _distinct(np.concatenate(columns))
+
+    def chunks(
+        self, ids: np.ndarray, sizes: np.ndarray
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The token word ids and the lengths of each chunk of these sentences."""
+        first_token = np.cumsum(sizes) - sizes
+        for lo in range(0, len(sizes), _CHUNK_SENTENCES):
+            chunk = sizes[lo:lo + _CHUNK_SENTENCES]
+            yield ids[first_token[lo]:first_token[lo] + chunk.sum()], chunk
+
+    def whole(
+        self, ids: np.ndarray, sizes: np.ndarray, pooled: bool, placement: _Placement | None
+    ) -> FeatureBlock:
+        """The rows of these sentences, placed when ``placement`` is given.
+        The block's arrays are allocated before the first chunk, with room for
+        one entry per feature occurrence (the most there can be, and what a
+        placement that drops nothing keeps), filled a chunk at a time and
+        trimmed in place, so the chunks are never joined into a second copy."""
+        bound = self.counts[ids].sum() + sum(
+            np.maximum(sizes - abs(offset), 0).sum() for offset in self.context
+        )
+        indptr = np.zeros((len(sizes) if pooled else len(ids)) + 1, dtype=np.int64)
+        indices = np.empty(bound, dtype=np.int64)
+        values = np.empty(bound)
+        rows = entries = 0
+        for chunk_ids, chunk_sizes in self.chunks(ids, sizes):
+            chunk = self.rows(chunk_ids, chunk_sizes, pooled)
+            if placement is not None:
+                chunk = chunk._placed(placement)
+            end = entries + len(chunk.indices)
+            indptr[rows + 1:rows + len(chunk) + 1] = chunk.indptr[1:] + entries
+            indices[entries:end] = chunk.indices
+            values[entries:end] = chunk.values
+            rows, entries = rows + len(chunk), end
+            del chunk  # before the next chunk is built
+        # In place, freeing the unused tail. No view of either array exists,
+        # so the reference check, which a debugger reading locals would trip,
+        # is skipped.
+        indices.resize(entries, refcheck=False)
+        values.resize(entries, refcheck=False)
+        return FeatureBlock(indptr, indices, values,
+                            self.dim if placement is None else placement.width)
+
 
 @dataclass(frozen=True)
 class HashedNgramFeaturizer:
@@ -211,20 +311,10 @@ class HashedNgramFeaturizer:
             context=context, dim=self.dim,
         )
 
-    def featurize(
-        self, sentences: Sequence[Sequence[str]], pooled: bool = False,
-        cols: np.ndarray | None = None,
-    ) -> FeatureBlock:
-        """One row per token of every sentence, in order; with ``pooled``, one
-        row per sentence pooling the features of all its tokens.
-
-        A token's features are its word features plus ``ctx<offset>=<word>``
-        for every neighbour within the window. Each row holds the hashed
-        feature counts, L2-normalized. With ``cols``, sorted feature columns,
-        the block is ``featurize(sentences, pooled).select(cols)``, selected a
-        chunk of sentences at a time, so the block over every column is never
-        held whole.
-        """
+    def _words(
+        self, sentences: Sequence[Sequence[str]]
+    ) -> tuple[np.ndarray, np.ndarray, _WordColumns]:
+        """Every token's word id, every sentence's length, and the call's memo."""
         vocab: dict[str, int] = {}
         word_ids: list[int] = []
         lengths: list[int] = []
@@ -234,21 +324,42 @@ class HashedNgramFeaturizer:
             lengths.append(len(tokens))
             word_ids.extend(vocab.setdefault(token, len(vocab)) for token in tokens)
         ids = np.array(word_ids, dtype=np.int64)
-        sizes = np.array(lengths, dtype=np.int64)
         if self.dim > np.iinfo(np.int64).max // max(len(ids), 1):
             raise ValueError(f"feature dim {self.dim} overflows the row keys")
+        return ids, np.array(lengths, dtype=np.int64), self._memo(vocab)
 
-        memo = self._memo(vocab)
-        position = None if cols is None else _positions(cols, self.dim)
-        width = self.dim if cols is None else len(cols)
-        blocks = []
-        first_token = np.cumsum(sizes) - sizes
-        for lo in range(0, len(sizes), _CHUNK_SENTENCES):
-            chunk = sizes[lo:lo + _CHUNK_SENTENCES]
-            start = first_token[lo]
-            block = memo.rows(ids[start:start + chunk.sum()], chunk, pooled)
-            blocks.append(block if position is None else block._placed(position, width))
-        return FeatureBlock.join(blocks, width)
+    def featurize(
+        self, sentences: Sequence[Sequence[str]], pooled: bool = False,
+        cols: np.ndarray | None = None,
+    ) -> FeatureBlock:
+        """One row per token of every sentence, in order; with ``pooled``, one
+        row per sentence pooling the features of all its tokens.
+
+        A token's features are its word features plus ``ctx<offset>=<word>``
+        for every neighbour within the window. Each row holds the hashed
+        feature counts, L2-normalized. With ``cols``, sorted distinct feature
+        columns, the block is ``featurize(sentences, pooled).select(cols)``:
+        each chunk of sentences is placed onto ``cols`` through one bitmap
+        placement as it is produced, so neither the block over every column
+        nor a table as wide as ``dim`` is ever held. The placed chunks are
+        then joined, since ``cols`` may drop most entries.
+        """
+        ids, sizes, memo = self._words(sentences)
+        if cols is None:
+            return memo.whole(ids, sizes, pooled, None)
+        placement = _Placement.of(cols, self.dim)
+        return FeatureBlock.join([memo.rows(chunk_ids, chunk_sizes, pooled)._placed(placement)
+                                  for chunk_ids, chunk_sizes in memo.chunks(ids, sizes)], len(cols))
+
+    def featurize_compact(
+        self, sentences: Sequence[Sequence[str]], pooled: bool = False
+    ) -> tuple[np.ndarray, FeatureBlock]:
+        """``featurize(sentences, pooled).compact()``: the sorted columns the
+        rows touch, read off the call's memo, and the block featurized straight
+        onto them, without the block over every column."""
+        ids, sizes, memo = self._words(sentences)
+        cols = memo.touched(ids, sizes)
+        return cols, memo.whole(ids, sizes, pooled, _Placement.of(cols, self.dim))
 
     def token_features(self, tokens: list[str]) -> list[FeatureVector]:
         """One vector per token, in token order."""

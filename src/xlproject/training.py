@@ -28,7 +28,8 @@ ALLOWED_LEARNING_RATES = (2e-6, 2e-5, 5e-5, 2e-4)
 TASKS = ("emotion", "trigger")
 SCHEDULES = ("constant", "linear")
 CHECKPOINT_VERSION = 2
-# Bounds on the config: A is (rank x K), and featurizing needs dim-sized tables.
+# Bounds on the config: A is (rank x K), and placing features onto columns
+# needs a bitmap of dim / 8 bytes and a count per 64 columns.
 MAX_LORA_RANK = 1024
 MAX_FEATURE_DIM = 2**24
 # The most epochs a run may train: a plain head, and a head with an adapter.
@@ -176,6 +177,18 @@ def _validation_score(task: str, validation: Corpus, logits: np.ndarray) -> floa
     return corpus_token_f1([(s.trigger_mask, mask) for s, mask in zip(validation.sentences, masks)])
 
 
+def _compact_batch(batch: FeatureBlock) -> tuple[np.ndarray, FeatureBlock]:
+    """``batch.compact()`` through tables over the batch's columns, which are
+    the training set's K columns, not the hashed ones: on a batch's few
+    entries that is faster than the bitmap placement."""
+    touched = np.zeros(batch.dim, dtype=bool)
+    touched[batch.indices] = True
+    cols = np.flatnonzero(touched)
+    position = np.empty(batch.dim, dtype=np.int64)
+    position[cols] = np.arange(len(cols))
+    return cols, FeatureBlock(batch.indptr, position[batch.indices], batch.values, len(cols))
+
+
 def train(
     corpus: Corpus,
     task: str,
@@ -208,7 +221,9 @@ def train(
     rng = np.random.default_rng(config.seed)
 
     # Both corpora are featurized once, up front, onto the touched columns.
-    cols, block = _featurize(featurizer, task, corpus).compact()
+    cols, block = featurizer.featurize_compact(
+        [s.tokens for s in corpus.sentences], pooled=task == "emotion"
+    )
     labels = np.array(_labels(task, corpus))
     if validation is not None:
         validation_block = _featurize(featurizer, task, validation, cols)
@@ -242,7 +257,7 @@ def train(
         epoch_loss = 0.0
         for start in range(0, len(labels), config.batch_size):
             rows = order[start:start + config.batch_size]
-            batch_cols, batch = block.take(rows).compact()
+            batch_cols, batch = _compact_batch(block.take(rows))
             fresh = batch_cols[slot[batch_cols] < 0]
             if len(fresh):  # first touches, plain head only: new zero columns
                 slot[fresh] = np.arange(live, live + len(fresh))

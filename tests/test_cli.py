@@ -1164,6 +1164,10 @@ BAD_INPUT_CASES = {
         ["train", "--input", "{tmp}/d_s.jsonl", "--validation", "{tmp}/empty.jsonl",
          "--task", "trigger", "--output", "{tmp}/out/model.npz"], EXIT_DATA,
         "data error: {tmp}/empty.jsonl: the corpus is empty"),
+    "evaluate-empty-gold": (["evaluate", "--gold", "{tmp}/empty.jsonl",
+                             "--predictions", "{tmp}/one.jsonl",
+                             "--output", "{tmp}/out/report.json"], EXIT_DATA,
+                            "data error: {tmp}/empty.jsonl: the corpus is empty"),
     "combine-without-d-s": (["combine", "--combine", "D_T", "--d-t", "{tmp}/d_s.jsonl",
                              "--output", "{tmp}/out/all.jsonl"], EXIT_CONFIG,
                             "configuration error: --combine 'D_T': every combination must "

@@ -2,6 +2,7 @@
 import dataclasses
 import hashlib
 import random
+import sys
 from math import sqrt
 
 import numpy as np
@@ -175,25 +176,135 @@ def test_compact_equals_unique_and_searchsorted(block):
     assert compact.indptr is block.indptr and compact.values is block.values
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), pooled=st.booleans(), dim=st.integers(2, 64),
-       kind=st.sampled_from(["empty", "full", "random"]))
+# The default dim and the largest: many bitmap words, with columns at every bit.
+LARGE_DIMS = [2**18, 2**24]
+
+
+def edge_columns(dim: int) -> list[int]:
+    """Every column of the last 64-column word, and every multiple of 64."""
+    return sorted({*range(64 * ((dim - 1) // 64), dim), *range(0, dim, 64)})
+
+
+def select_oracle(block: FeatureBlock, cols: np.ndarray) -> FeatureBlock:
+    """``block.select(cols)`` by ``np.isin`` and ``np.searchsorted``."""
+    kept = np.isin(block.indices, cols)
+    indptr = np.concatenate(([0], np.cumsum(kept)))[block.indptr]
+    return FeatureBlock(indptr, np.searchsorted(cols, block.indices[kept]),
+                        block.values[kept], len(cols))
+
+
+def assert_same_block(got: FeatureBlock, want: FeatureBlock) -> None:
+    assert got.dim == want.dim
+    for name in ("indptr", "indices", "values"):
+        value, expected = getattr(got, name), getattr(want, name)
+        assert value.dtype == expected.dtype and np.array_equal(value, expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pooled=st.booleans(),
+       dim=st.one_of(st.integers(2, 64), st.sampled_from(LARGE_DIMS)),
+       kind=st.sampled_from(["empty", "full", "random", "edges"]))
 def test_featurize_onto_columns_equals_select(seed, pooled, dim, kind):
     rng = random.Random(seed)
     count = rng.randint(features._CHUNK_SENTENCES + 1, 2 * features._CHUNK_SENTENCES + 10)
     sentences = [rng.choices(WORD_LIST, k=rng.randint(1, 4)) for _ in range(count)]
-    cols = np.array({
-        "empty": [],
-        "full": range(dim),
-        "random": sorted(rng.sample(range(dim), rng.randint(0, dim))),
-    }[kind], dtype=np.int64)
     featurizer = HashedNgramFeaturizer(dim=dim)
+    block = featurizer.featurize(sentences, pooled)
+    # A random half of the block's columns, so that past 64 columns some entries stay.
+    touched = np.unique(block.indices).tolist()
+    half = set(rng.sample(touched, len(touched) // 2))
+    if kind == "empty":
+        cols = []
+    elif kind == "full":  # every column; at 2^24 every column of the block
+        cols = range(dim) if dim <= 2**18 else touched
+    elif kind == "random":
+        cols = sorted(half | set(rng.sample(range(dim), rng.randint(0, min(dim, 64)))))
+    else:
+        cols = sorted(half | set(edge_columns(dim)))
+    cols = np.array(cols, dtype=np.int64)
     got = featurizer.featurize(sentences, pooled, cols=cols)
-    want = featurizer.featurize(sentences, pooled).select(cols)
-    assert got.dim == want.dim == len(cols)
-    for name in ("indptr", "indices", "values"):
-        value, expected = getattr(got, name), getattr(want, name)
-        assert value.dtype == expected.dtype and np.array_equal(value, expected)
+    assert_same_block(got, block.select(cols))
+    assert_same_block(got, select_oracle(block, cols))
+
+
+EDGE_DIMS = [2, 63, 64, 65, 127, 128, 1000, *LARGE_DIMS]
+
+
+@st.composite
+def blocks_and_columns(draw):
+    """A block whose rows hold columns at the edges of 64-column words, and
+    sorted columns to select: some of the block's, some edges, some others."""
+    dim = draw(st.sampled_from(EDGE_DIMS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.unique(np.concatenate([edge_columns(dim)[-200:], edge_columns(dim)[:8],
+                                     rng.integers(0, dim, size=40)]))
+    sizes = [int(rng.integers(0, min(len(pool), 12) + 1)) for _ in range(draw(st.integers(0, 20)))]
+    rows = [np.sort(rng.choice(pool, size=k, replace=False)) for k in sizes]
+    indptr = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+    indices = np.concatenate([np.zeros(0, dtype=np.int64)] + rows).astype(np.int64)
+    block = FeatureBlock(indptr, indices, rng.normal(size=len(indices)), dim)
+    candidates = np.concatenate([pool, rng.integers(0, dim, size=20)])
+    cols = np.unique(candidates[rng.random(len(candidates)) < draw(st.floats(0, 1))])
+    return block, cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=blocks_and_columns())
+def test_select_and_compact_equal_isin_and_searchsorted(drawn):
+    block, cols = drawn
+    assert_same_block(block.select(cols), select_oracle(block, cols))
+    touched, compact = block.compact()
+    assert touched.dtype == np.int64 and np.array_equal(touched, np.unique(block.indices))
+    assert_same_block(compact, select_oracle(block, touched))
+
+
+# The examples include sentences of one token, which have no context columns.
+@settings(max_examples=80, deadline=None)
+@given(sentences=SENTENCES, pooled=st.booleans(),
+       dim=st.sampled_from([2, 3, 64, 1000, *LARGE_DIMS]), window=st.integers(0, 3))
+@example(sentences=[["ü"]], pooled=False, dim=2**24, window=2)
+@example(sentences=[["the"], ["a"], ["the"]], pooled=True, dim=2**18, window=2)
+@example(sentences=[["a", "the"], ["zqglow"]], pooled=False, dim=2**18, window=0)
+def test_featurize_compact_equals_featurize_then_compact(sentences, pooled, dim, window):
+    featurizer = HashedNgramFeaturizer(dim=dim, window=window)
+    cols, block = featurizer.featurize_compact(sentences, pooled)
+    whole = featurizer.featurize(sentences, pooled)
+    want_cols, want = whole.compact()
+    assert cols.dtype == want_cols.dtype and np.array_equal(cols, want_cols)
+    assert np.array_equal(cols, np.unique(whole.indices))
+    assert_same_block(block, want)
+    assert_same_block(block, select_oracle(whole, cols))
+
+
+def test_featurize_compact_across_chunk_boundaries():
+    rng = random.Random(9)
+    sentences = [rng.choices(WORD_LIST, k=rng.randint(1, 4))
+                 for _ in range(2 * features._CHUNK_SENTENCES + 7)]
+    featurizer = HashedNgramFeaturizer(dim=2**18)
+    for pooled in (False, True):
+        cols, block = featurizer.featurize_compact(sentences, pooled)
+        want_cols, want = featurizer.featurize(sentences, pooled).compact()
+        assert np.array_equal(cols, want_cols)
+        assert_same_block(block, want)
+
+
+def test_featurize_under_a_tracer_that_reads_frame_locals():
+    # A debugger reads each frame's locals, which keeps one more reference to
+    # every local array. The repeated word leaves fewer entries than feature
+    # occurrences, so the block's arrays are trimmed.
+    def tracer(frame, event, arg):
+        frame.f_locals
+        return tracer
+
+    featurizer = HashedNgramFeaturizer(dim=64)
+    want = featurizer.featurize([["a", "a"]], pooled=True)
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        got = featurizer.featurize([["a", "a"]], pooled=True)
+    finally:
+        sys.settrace(previous)
+    assert_same_block(got, want)
 
 
 def test_stack_rebuilds_the_block_from_its_rows():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from xlproject.optim import AdamWState, adamw_step
 from xlproject.synthetic import synthetic_corpus
 from xlproject.training import (
     EMOTION_ORDER,
+    MAX_FEATURE_DIM,
     LoraConfig,
     MissingLabelsError,
     TrainConfig,
@@ -360,6 +362,29 @@ class TestTouchedColumnTraining:
         logits = forward(trained.model, trained.adapter, block)
         assert np.array_equal(logits, trained.model.b[None, :])
         assert trained.predict_mask(sentence) == [int(np.argmax(trained.model.b))]
+
+
+class TestMemoryDoesNotFollowTheFeatureDim:
+    @pytest.mark.parametrize("task", ["emotion", "trigger"])
+    def test_train_and_predict_peaks_at_the_largest_dim(self, task):
+        # Counted by tracemalloc, which sees numpy's buffers. At 2^24 columns a
+        # table over every hashed column would take 128 MB (int64); the
+        # placement's bitmap and per-word counts take 4 MB.
+        corpus = synthetic_corpus(48, seed=3)
+        validation = synthetic_corpus(12, seed=4, id_prefix="v")
+        config = small_config(epochs=1, feature_dim=MAX_FEATURE_DIM)
+        tracemalloc.start()
+        try:
+            trained = train(corpus, task, config, validation=validation)
+            train_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            trained.predict(corpus)
+            predict_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert train_peak <= 12_000_000
+        assert predict_peak <= 12_000_000
 
 
 class TestCheckpoints:
