@@ -177,18 +177,6 @@ def _validation_score(task: str, validation: Corpus, logits: np.ndarray) -> floa
     return corpus_token_f1([(s.trigger_mask, mask) for s, mask in zip(validation.sentences, masks)])
 
 
-def _compact_batch(batch: FeatureBlock) -> tuple[np.ndarray, FeatureBlock]:
-    """``batch.compact()`` through tables over the batch's columns, which are
-    the training set's K columns, not the hashed ones: on a batch's few
-    entries that is faster than the bitmap placement."""
-    touched = np.zeros(batch.dim, dtype=bool)
-    touched[batch.indices] = True
-    cols = np.flatnonzero(touched)
-    position = np.empty(batch.dim, dtype=np.int64)
-    position[cols] = np.arange(len(cols))
-    return cols, FeatureBlock(batch.indptr, position[batch.indices], batch.values, len(cols))
-
-
 def train(
     corpus: Corpus,
     task: str,
@@ -257,7 +245,7 @@ def train(
         epoch_loss = 0.0
         for start in range(0, len(labels), config.batch_size):
             rows = order[start:start + config.batch_size]
-            batch_cols, batch = _compact_batch(block.take(rows))
+            batch_cols, batch = block.take(rows).compact()
             fresh = batch_cols[slot[batch_cols] < 0]
             if len(fresh):  # first touches, plain head only: new zero columns
                 slot[fresh] = np.arange(live, live + len(fresh))

@@ -227,7 +227,8 @@ def test_featurize_onto_columns_equals_select(seed, pooled, dim, kind):
     assert_same_block(got, select_oracle(block, cols))
 
 
-EDGE_DIMS = [2, 63, 64, 65, 127, 128, 1000, *LARGE_DIMS]
+EDGE_DIMS = [2, 63, 64, 65, 127, 128, 1000, features._TABLE_COLUMNS, features._TABLE_COLUMNS + 1,
+             *LARGE_DIMS]
 
 
 @st.composite
@@ -274,6 +275,26 @@ def test_featurize_compact_equals_featurize_then_compact(sentences, pooled, dim,
     assert np.array_equal(cols, np.unique(whole.indices))
     assert_same_block(block, want)
     assert_same_block(block, select_oracle(whole, cols))
+
+
+# The block's arrays are sized by this count before any chunk is featurized.
+@settings(max_examples=60, deadline=None)
+@given(sentences=SENTENCES, dim=st.sampled_from([2, 64, 1000, *LARGE_DIMS]),
+       window=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["none", "empty", "random", "touched"]))
+def test_occurrences_count_the_reference_features_in_the_columns(sentences, dim, window, seed, kind):
+    featurizer = HashedNgramFeaturizer(dim=dim, window=window)
+    raw = [reference_hash(feature, featurizer.salt, dim) for tokens in sentences
+           for i in range(len(tokens)) for feature in reference_raw_features(featurizer, tokens, i)]
+    rng = np.random.default_rng(seed)
+    cols = {"none": None, "empty": np.zeros(0, dtype=np.int64),
+            "random": np.unique(rng.integers(0, dim, size=rng.integers(0, 50))),
+            "touched": np.unique(raw)}[kind]
+    ids, sizes, memo = featurizer._words(sentences)
+    placement = None if cols is None else features._Placement.of(cols, dim)
+    want = len(raw) if cols is None else int(np.isin(raw, cols).sum())
+    assert memo.occurrences(ids, sizes, placement) == want
+    assert want >= len(featurizer.featurize(sentences, cols=cols).indices)
 
 
 def test_featurize_compact_across_chunk_boundaries():
