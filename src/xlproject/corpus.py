@@ -19,6 +19,8 @@ LANGUAGES = ("en", "nl", "ru", "es", "fr")
 _FIELDS = frozenset({"id", "lang", "tokens", "emotion", "mask", "origin", "bilingual"})
 # Matches exactly the characters for which ``str.isspace()`` is true.
 _WHITESPACE = re.compile(r"\s").search
+# A surrogate code point, which JSON decodes only from an unpaired escape such as "\ud800".
+_SURROGATE = re.compile("[\ud800-\udfff]").search
 
 
 class EmotionLabel(Enum):
@@ -160,12 +162,16 @@ def _sentence_from_record(record: dict) -> AnnotatedSentence:
     bilingual = record.get("bilingual", False)
     if type(bilingual) is not bool:
         raise DataError("field 'bilingual' must be true or false")
+    sid = str(record["id"])
+    for name, text in (("id", sid), ("tokens", joined)):
+        if _SURROGATE(text):  # it cannot be written as UTF-8
+            raise DataError(f"field {name!r} holds an unpaired surrogate escape")
     # NUL composes with nothing, so the joined text is NFC exactly when every token is.
     if not unicodedata.is_normalized("NFC", joined):
         tokens = [unicodedata.normalize("NFC", t) for t in tokens]
         joined = "\0".join(tokens)
     sent = AnnotatedSentence(
-        id=unicodedata.normalize("NFC", str(record["id"])),
+        id=unicodedata.normalize("NFC", sid),
         tokens=tokens,
         language=str(record["lang"]),
         origin=DatasetTag.from_string(str(record["origin"])),

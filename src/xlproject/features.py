@@ -11,12 +11,9 @@ matrix with one row per token (or per sentence). Within that call each
 distinct word's own features, and each word's context features, are hashed
 once; no feature is cached across calls.
 
-A block is narrowed onto a sorted set of feature columns through a
-:class:`_Placement`: a bitmap of the set, one bit per hashed column, and for
-each 64-bit word the count of the set's columns up to its end. Its scratch is
-16 bytes per 64 hashed columns, so no table as wide as the hashed dimension
-is built after hashing; only ``compact`` on a block at most ``_TABLE_COLUMNS``
-wide uses a table over its columns, which is faster there.
+A call that featurizes onto sorted feature columns places its memo's columns
+onto them once, by binary search, so no table as wide as the hashed dimension
+is built.
 """
 from __future__ import annotations
 
@@ -81,31 +78,26 @@ class FeatureBlock:
 
         A block at most ``_TABLE_COLUMNS`` wide, such as a training batch over
         a small training set's columns, is compacted through a table over its
-        columns, which is the faster way there; a wider one, through the
-        bitmap placement, so no table grows with the hashed dimension."""
+        columns, which is the faster way there; a wider one, by sorting its
+        entries, so no table grows with the hashed dimension."""
         if self.dim <= _TABLE_COLUMNS:
             touched = np.zeros(self.dim, dtype=bool)
             touched[self.indices] = True
             cols = np.flatnonzero(touched)
             position = np.empty(self.dim, dtype=np.int64)
             position[cols] = np.arange(len(cols))
-            return cols, FeatureBlock(self.indptr, position[self.indices], self.values, len(cols))
-        cols = _distinct(self.indices)
-        return cols, self.select(cols)
+            indices = position[self.indices]
+        else:
+            cols, indices = np.unique(self.indices, return_inverse=True)
+        return cols, FeatureBlock(self.indptr, indices, self.values, len(cols))
 
     def select(self, cols: np.ndarray) -> FeatureBlock:
         """The block over the sorted feature columns ``cols`` only, re-indexed
         onto ``0..K-1`` in that order; entries in any other column are dropped."""
-        return self._placed(_Placement.of(cols, self.dim))
-
-    def _placed(self, placement: _Placement) -> FeatureBlock:
-        """The block moved onto the columns of ``placement``; entries in any
-        other column are dropped."""
-        indices, kept = placement.place(self.indices)
-        if kept.all():  # nothing to drop: the rows are shared
-            return FeatureBlock(self.indptr, indices, self.values, placement.width)
+        indices = _place(np.asarray(cols, dtype=np.int64), self.indices)
+        kept = indices < len(cols)
         ends = np.concatenate(([0], np.cumsum(kept)))  # entries kept before each position
-        return FeatureBlock(ends[self.indptr], indices[kept], self.values[kept], placement.width)
+        return FeatureBlock(ends[self.indptr], indices[kept], self.values[kept], len(cols))
 
 
 # The widest block that ``compact`` re-indexes through a table over its
@@ -113,54 +105,16 @@ class FeatureBlock:
 _TABLE_COLUMNS = 2**15
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values, sorted, as ``np.unique`` gives them, from one sort
-    and one comparison. On numpy 2.4 that takes 28 µs where ``np.unique``
-    takes 364 µs, for a training batch's 4,000 int64 columns."""
-    values = np.sort(values)
-    first = np.ones(len(values), dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=first[1:])
-    return values[first]
-
-
-@dataclass
-class _Placement:
-    """Where each feature column goes when a block is narrowed onto the sorted,
-    distinct columns ``cols``. Column ``j`` is in ``cols`` when bit ``j % 64``
-    of ``bits[j // 64]`` is set. ``through[w]`` counts the columns of ``cols``
-    in words ``0..w``, so ``j``'s place in ``cols`` is ``through[j // 64]``
-    less the set bits of its word from its own bit up."""
-
-    bits: np.ndarray  # (ceil(dim / 64),) uint64
-    through: np.ndarray  # (ceil(dim / 64),) int64
-
-    @classmethod
-    def of(cls, cols: np.ndarray, dim: int) -> _Placement:
-        cols = np.asarray(cols, dtype=np.int64)
-        bits = np.zeros(-(-dim // 64), dtype=np.uint64)
-        # The columns are distinct, so adding their bits sets each one once.
-        np.add.at(bits, cols >> 6, np.uint64(1) << (cols & 63).astype(np.uint64))
-        through = np.bitwise_count(bits).astype(np.int64)
-        np.cumsum(through, out=through)  # in place: a cast cumsum would copy
-        return cls(bits, through)
-
-    @property
-    def width(self) -> int:
-        """The number of columns placed, ``len(cols)``."""
-        return int(self.through[-1])
-
-    def place(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The place in ``cols`` of each of these columns, and whether it is in
-        ``cols`` at all; where it is not, the place means nothing."""
-        word = indices >> 6
-        places = self.through[word]
-        high = self.bits[word]
-        shift = np.bitwise_and(indices, 63, out=word).view(np.uint64)  # word's buffer, reused
-        high >>= shift  # the column's bit, now bit 0, and those above it
-        del word, shift
-        places -= np.bitwise_count(high)
-        high <<= 63  # the column's bit alone
-        return places, high.astype(bool)
+def _place(cols: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Each column's place in the sorted, distinct ``cols``, by binary search;
+    one not in ``cols`` goes to ``len(cols) + column``, so all stay distinct."""
+    order = np.argsort(columns)  # searched in order, each search starts where the last ended
+    places = np.empty_like(order)
+    places[order] = np.searchsorted(cols, columns[order])
+    del order
+    missing = np.append(cols, -1)[places] != columns  # -1, past the last place, is no column
+    places[missing] = columns[missing] + len(cols)
+    return places
 
 
 # Sentences whose feature keys are counted together: bounds featurize's scratch memory.
@@ -195,13 +149,23 @@ def _columns(digests: bytearray, dim: int) -> np.ndarray:
 class _WordColumns:
     """The memo of one featurize call, indexed by word id: each word's own
     feature columns, ``own[starts[w]:starts[w] + counts[w]]``, and its column
-    as the context feature at each window offset, ``context[offset][w]``."""
+    as the context feature at each window offset, ``context[offset][w]``.
+    Its rows are ``dim`` columns wide: every column is below ``width``, the
+    row keys' stride, and one at or above ``dim`` is dropped (see ``onto``)."""
 
     own: np.ndarray
     starts: np.ndarray
     counts: np.ndarray
     context: dict[int, np.ndarray]
     dim: int
+    width: int
+
+    def onto(self, cols: np.ndarray) -> _WordColumns:
+        """This memo with its columns placed onto the sorted, distinct ``cols``."""
+        cols = np.asarray(cols, dtype=np.int64)
+        context = {offset: _place(cols, columns) for offset, columns in self.context.items()}
+        return _WordColumns(_place(cols, self.own), self.starts, self.counts, context,
+                            dim=len(cols), width=len(cols) + self.width)
 
     def rows(self, ids: np.ndarray, sizes: np.ndarray, pooled: bool) -> FeatureBlock:
         """The rows of the sentences with these token word ids and lengths."""
@@ -209,24 +173,28 @@ class _WordColumns:
         position = np.arange(len(ids)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         row_of_token = sentence_of if pooled else np.arange(len(ids))
         num_rows = len(sizes) if pooled else len(ids)
-        # Every feature occurrence as one key, row * dim + column.
+        # Every feature occurrence as one key, row * width + column.
         counts = self.counts[ids]
         within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
         keys = [
-            np.repeat(row_of_token, counts) * self.dim
+            np.repeat(row_of_token, counts) * self.width
             + self.own[np.repeat(self.starts[ids], counts) + within]
         ]
         for offset, columns in self.context.items():
             neighbour = position + offset
             tokens = np.flatnonzero((neighbour >= 0) & (neighbour < sizes[sentence_of]))
-            keys.append(row_of_token[tokens] * self.dim + columns[ids[tokens + offset]])
+            keys.append(row_of_token[tokens] * self.width + columns[ids[tokens + offset]])
         keys, counts = np.unique(np.concatenate(keys), return_counts=True)
-        row = keys // self.dim
+        row = keys // self.width
+        columns = keys - row * self.width
         values = counts.astype(np.float64)
         norms = np.sqrt(np.bincount(row, weights=values * values, minlength=num_rows))
+        kept = columns < self.dim  # a placed memo's other columns, dropped after the norms
+        if not kept.all():
+            row, columns, values = row[kept], columns[kept], values[kept]
         indptr = np.zeros(num_rows + 1, dtype=np.int64)
         np.cumsum(np.bincount(row, minlength=num_rows), out=indptr[1:])
-        return FeatureBlock(indptr, keys - row * self.dim, values / norms[row], self.dim)
+        return FeatureBlock(indptr, columns, values / norms[row], self.dim)
 
     def neighbours(
         self, ids: np.ndarray, sizes: np.ndarray
@@ -248,32 +216,26 @@ class _WordColumns:
             occurs = np.zeros(len(self.counts), dtype=bool)
             occurs[neighbours] = True
             columns.append(context[occurs])
-        return _distinct(np.concatenate(columns))
+        columns = np.sort(np.concatenate(columns))
+        return columns[np.diff(columns, prepend=-1) != 0]  # every column is >= 0
 
-    def occurrences(self, ids: np.ndarray, sizes: np.ndarray, placement: _Placement | None) -> int:
+    def occurrences(self, ids: np.ndarray, sizes: np.ndarray) -> int:
         """How many feature occurrences these sentences have in the columns
-        of ``placement`` (in any column without one): the most entries their
-        rows can hold."""
-        def kept(columns: np.ndarray) -> np.ndarray:
-            return np.ones(len(columns), dtype=bool) if placement is None else placement.place(columns)[1]
-
-        own = np.add.reduceat(kept(self.own), self.starts, dtype=np.int64)
+        below ``dim``: the most entries their rows can hold."""
+        own = np.add.reduceat(self.own < self.dim, self.starts, dtype=np.int64)
         total = own[ids].sum()
         for context, neighbours in self.neighbours(ids, sizes):
-            total += np.count_nonzero(kept(context)[neighbours])
+            total += np.count_nonzero((context < self.dim)[neighbours])
         return int(total)
 
-    def whole(
-        self, ids: np.ndarray, sizes: np.ndarray, pooled: bool, placement: _Placement | None
-    ) -> FeatureBlock:
-        """The rows of these sentences, placed when ``placement`` is given.
-        The block's arrays are allocated before the first chunk of
-        ``_CHUNK_SENTENCES`` sentences, with room for every feature occurrence
-        that the placement keeps (the most entries there can be), filled a
-        chunk at a time and trimmed in place, so the chunks are never joined
-        into a second copy and a placement that drops most entries reserves
-        room only for those it keeps."""
-        bound = self.occurrences(ids, sizes, placement)
+    def whole(self, ids: np.ndarray, sizes: np.ndarray, pooled: bool) -> FeatureBlock:
+        """The rows of these sentences, written ``_CHUNK_SENTENCES`` sentences
+        at a time into arrays sized by ``occurrences`` (the most entries there
+        can be) and trimmed in place, so the chunks are never joined into a
+        second copy."""
+        if self.width > np.iinfo(np.int64).max // max(len(ids), 1):
+            raise ValueError(f"feature key width {self.width} overflows the row keys")
+        bound = self.occurrences(ids, sizes)
         indptr = np.zeros((len(sizes) if pooled else len(ids)) + 1, dtype=np.int64)
         indices = np.empty(bound, dtype=np.int64)
         values = np.empty(bound)
@@ -283,8 +245,6 @@ class _WordColumns:
             chunk_sizes = sizes[lo:lo + _CHUNK_SENTENCES]
             chunk_ids = ids[first_token[lo]:first_token[lo] + chunk_sizes.sum()]
             chunk = self.rows(chunk_ids, chunk_sizes, pooled)
-            if placement is not None:
-                chunk = chunk._placed(placement)
             end = entries + len(chunk.indices)
             indptr[rows + 1:rows + len(chunk) + 1] = chunk.indptr[1:] + entries
             indices[entries:end] = chunk.indices
@@ -299,8 +259,7 @@ class _WordColumns:
         # as a debugger does, adds references that are not views.
         indices.resize(entries, refcheck=False)
         values.resize(entries, refcheck=False)
-        return FeatureBlock(indptr, indices, values,
-                            self.dim if placement is None else placement.width)
+        return FeatureBlock(indptr, indices, values, self.dim)
 
 
 @dataclass(frozen=True)
@@ -336,7 +295,7 @@ class HashedNgramFeaturizer:
         }
         return _WordColumns(
             own=_columns(own, self.dim), starts=np.cumsum(counts) - counts, counts=counts,
-            context=context, dim=self.dim,
+            context=context, dim=self.dim, width=self.dim,
         )
 
     def _words(
@@ -352,8 +311,6 @@ class HashedNgramFeaturizer:
             lengths.append(len(tokens))
             word_ids.extend(vocab.setdefault(token, len(vocab)) for token in tokens)
         ids = np.array(word_ids, dtype=np.int64)
-        if self.dim > np.iinfo(np.int64).max // max(len(ids), 1):
-            raise ValueError(f"feature dim {self.dim} overflows the row keys")
         return ids, np.array(lengths, dtype=np.int64), self._memo(vocab)
 
     def featurize(
@@ -366,14 +323,14 @@ class HashedNgramFeaturizer:
         A token's features are its word features plus ``ctx<offset>=<word>``
         for every neighbour within the window. Each row holds the hashed
         feature counts, L2-normalized. With ``cols``, sorted distinct feature
-        columns, the block is ``featurize(sentences, pooled).select(cols)``:
-        each chunk of sentences is placed onto ``cols`` through one bitmap
-        placement as it is produced, so neither the block over every column
-        nor a table as wide as ``dim`` is ever held.
+        columns, the block is ``featurize(sentences, pooled).select(cols)``,
+        made from the call's memo placed onto ``cols`` once, so neither the
+        block over every column nor a table as wide as ``dim`` is ever held.
         """
         ids, sizes, memo = self._words(sentences)
-        placement = None if cols is None else _Placement.of(cols, self.dim)
-        return memo.whole(ids, sizes, pooled, placement)
+        if cols is not None:
+            memo = memo.onto(cols)
+        return memo.whole(ids, sizes, pooled)
 
     def featurize_compact(
         self, sentences: Sequence[Sequence[str]], pooled: bool = False
@@ -383,7 +340,8 @@ class HashedNgramFeaturizer:
         onto them, without the block over every column."""
         ids, sizes, memo = self._words(sentences)
         cols = memo.touched(ids, sizes)
-        return cols, memo.whole(ids, sizes, pooled, _Placement.of(cols, self.dim))
+        memo = memo.onto(cols)  # the memo over every column is freed here
+        return cols, memo.whole(ids, sizes, pooled)
 
     def token_features(self, tokens: list[str]) -> list[FeatureVector]:
         """One vector per token, in token order."""

@@ -28,8 +28,8 @@ ALLOWED_LEARNING_RATES = (2e-6, 2e-5, 5e-5, 2e-4)
 TASKS = ("emotion", "trigger")
 SCHEDULES = ("constant", "linear")
 CHECKPOINT_VERSION = 2
-# Bounds on the config: A is (rank x K), and placing features onto columns
-# needs a bitmap of dim / 8 bytes and a count per 64 columns.
+# Bounds on the config: A is (rank x K). No array is as wide as the feature
+# dim; its bound is the dim at which the memory tests check train and predict.
 MAX_LORA_RANK = 1024
 MAX_FEATURE_DIM = 2**24
 # The most epochs a run may train: a plain head, and a head with an adapter.

@@ -1198,6 +1198,16 @@ BAD_INPUT_CASES = {
     "not-utf8-parse-llm": (["parse-llm", "--input", "{tmp}/latin1.jsonl",
                             "--output", "{tmp}/out/labels.tsv"], EXIT_DATA,
                            "data error: {tmp}/latin1.jsonl line 2: not UTF-8 text"),
+    # An unpaired surrogate escape on the second line, which no UTF-8 output can hold.
+    "train-surrogate-token": (["train", "--input", "{tmp}/surrogate.jsonl", "--task", "trigger",
+                               "--output", "{tmp}/out/model.npz"], EXIT_DATA,
+                              "data error: {tmp}/surrogate.jsonl: field 'tokens' holds an "
+                              "unpaired surrogate escape at line 2"),
+    "split-surrogate-id": (["split", "--input", "{tmp}/surrogate_id.jsonl",
+                            "--output-train", "{tmp}/out/t.jsonl",
+                            "--output-validation", "{tmp}/out/v.jsonl"], EXIT_DATA,
+                           "data error: {tmp}/surrogate_id.jsonl: field 'id' holds an "
+                           "unpaired surrogate escape at line 2"),
     # A checkpoint that cannot be read, or holds values that train never writes.
     "predict-checkpoint-bad-crc": (PREDICT + ["--model", "{tmp}/w0_crc.npz"], EXIT_DATA,
                                    "data error: {tmp}/w0_crc.npz: cannot read array W0: "
@@ -1296,6 +1306,11 @@ def bad_input_files(tmp_path):
     (tmp_path / "latin1.jsonl").write_bytes(
         b'{"id": "a", "lang": "en", "tokens": ["x"], "origin": "D_S"}\n{"id": "caf\xe9"}\n')
     (tmp_path / "latin1.tsv").write_bytes(b"# id=a lang=en origin=D_S\ncaf\xe9\n")
+    good = '{"id": "a", "lang": "en", "tokens": ["x"], "mask": [1], "origin": "D_S"}\n'
+    (tmp_path / "surrogate.jsonl").write_text(
+        good + r'{"id": "b", "lang": "en", "tokens": ["\ud800x"], "mask": [1], "origin": "D_S"}')
+    (tmp_path / "surrogate_id.jsonl").write_text(
+        good + r'{"id": "b\udc00", "lang": "en", "tokens": ["y"], "mask": [0], "origin": "D_S"}')
     # switch reads the target's span alignments from <target>.pairs.jsonl.
     (tmp_path / "u.jsonl").write_text(
         '{"id": "u-1@es", "lang": "es", "tokens": ["hola"], "origin": "D_T"}\n')

@@ -138,6 +138,14 @@ class TestFeatureBlock:
         with pytest.raises(ValueError, match="overflows"):
             featurizer.featurize([["a", "b"]])
 
+    def test_placed_key_width_too_large_for_the_row_keys_rejected(self):
+        # Onto columns, a row key spans len(cols) + dim: at the largest dim
+        # whose keys fit for two tokens, one column more overflows them.
+        featurizer = HashedNgramFeaturizer(dim=np.iinfo(np.int64).max // 2)
+        assert len(featurizer.featurize([["a", "b"]])) == 2
+        with pytest.raises(ValueError, match="overflows"):
+            featurizer.featurize([["a", "b"]], cols=np.array([0]))
+
     def test_compact_keeps_values_and_remaps_columns(self):
         block = FeatureBlock(
             indptr=np.array([0, 2, 3]), indices=np.array([5, 9, 5]),
@@ -176,7 +184,7 @@ def test_compact_equals_unique_and_searchsorted(block):
     assert compact.indptr is block.indptr and compact.values is block.values
 
 
-# The default dim and the largest: many bitmap words, with columns at every bit.
+# The default dim and the largest that train accepts.
 LARGE_DIMS = [2**18, 2**24]
 
 
@@ -291,9 +299,8 @@ def test_occurrences_count_the_reference_features_in_the_columns(sentences, dim,
             "random": np.unique(rng.integers(0, dim, size=rng.integers(0, 50))),
             "touched": np.unique(raw)}[kind]
     ids, sizes, memo = featurizer._words(sentences)
-    placement = None if cols is None else features._Placement.of(cols, dim)
     want = len(raw) if cols is None else int(np.isin(raw, cols).sum())
-    assert memo.occurrences(ids, sizes, placement) == want
+    assert (memo if cols is None else memo.onto(cols)).occurrences(ids, sizes) == want
     assert want >= len(featurizer.featurize(sentences, cols=cols).indices)
 
 

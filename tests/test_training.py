@@ -368,8 +368,8 @@ class TestMemoryDoesNotFollowTheFeatureDim:
     @pytest.mark.parametrize("task", ["emotion", "trigger"])
     def test_train_and_predict_peaks_at_the_largest_dim(self, task):
         # Counted by tracemalloc, which sees numpy's buffers. At 2^24 columns a
-        # table over every hashed column would take 128 MB (int64); the
-        # placement's bitmap and per-word counts take 4 MB.
+        # table over every hashed column would take 128 MB (int64); placing
+        # each word's columns by binary search needs no scratch of that width.
         corpus = synthetic_corpus(48, seed=3)
         validation = synthetic_corpus(12, seed=4, id_prefix="v")
         config = small_config(epochs=1, feature_dim=MAX_FEATURE_DIM)
