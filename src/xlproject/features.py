@@ -117,8 +117,9 @@ def _place(cols: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return places
 
 
-# Sentences whose feature keys are counted together: bounds featurize's scratch memory.
-_CHUNK_SENTENCES = 256
+# The feature occurrences whose keys are counted together: bounds featurize's
+# scratch memory, about 30 bytes an occurrence, whatever the sentences' lengths.
+_CHUNK_OCCURRENCES = 2**15
 
 
 def _digests(prefix, features: Iterable[str]) -> bytearray:
@@ -160,41 +161,82 @@ class _WordColumns:
     dim: int
     width: int
 
-    def onto(self, cols: np.ndarray) -> _WordColumns:
-        """This memo with its columns placed onto the sorted, distinct ``cols``."""
+    def onto(self, cols: np.ndarray, own: np.ndarray | None = None) -> _WordColumns:
+        """This memo with its columns placed onto the sorted, distinct ``cols``;
+        ``own``, when given, is the place of each own column (see ``touched``)."""
         cols = np.asarray(cols, dtype=np.int64)
         context = {offset: _place(cols, columns) for offset, columns in self.context.items()}
-        return _WordColumns(_place(cols, self.own), self.starts, self.counts, context,
-                            dim=len(cols), width=len(cols) + self.width)
+        return _WordColumns(_place(cols, self.own) if own is None else own, self.starts,
+                            self.counts, context, dim=len(cols), width=len(cols) + self.width)
 
     def rows(self, ids: np.ndarray, sizes: np.ndarray, pooled: bool) -> FeatureBlock:
-        """The rows of the sentences with these token word ids and lengths."""
+        """The rows of the sentences with these token word ids and lengths.
+
+        Every feature occurrence is written as one key, ``row * width + column``,
+        into one buffer: the own features first, then the context features at
+        each offset. The buffer is sorted in place; each distinct key is an
+        entry, valued by how often it occurs over its row's L2 norm."""
         sentence_of = np.repeat(np.arange(len(sizes)), sizes)
-        position = np.arange(len(ids)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        position = np.arange(len(ids)) - (np.cumsum(sizes) - sizes)[sentence_of]
+        length = sizes[sentence_of]
         row_of_token = sentence_of if pooled else np.arange(len(ids))
         num_rows = len(sizes) if pooled else len(ids)
-        # Every feature occurrence as one key, row * width + column.
         counts = self.counts[ids]
-        within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        keys = [
-            np.repeat(row_of_token, counts) * self.width
-            + self.own[np.repeat(self.starts[ids], counts) + within]
-        ]
+        own = int(counts.sum())
+        keys = np.empty(own + int(self.neighboured(sizes).sum()), dtype=np.int64)
+        # Each own occurrence's index into ``self.own``: a cumulative sum of
+        # steps of one, which jump at each token's first occurrence to the
+        # start of its word's columns. Every word has at least one column.
+        index = np.ones(own, dtype=np.int64)
+        begin = self.starts[ids]
+        index[np.cumsum(counts) - counts] = begin - np.append(0, begin[:-1] + counts[:-1] - 1)
+        np.cumsum(index, out=index)
+        np.take(self.own, index, out=keys[:own], mode="clip")  # unbuffered; every index is valid
+        del index
+        keys[:own] += np.repeat(row_of_token * self.width, counts)
+        end = own
         for offset, columns in self.context.items():
-            neighbour = position + offset
-            tokens = np.flatnonzero((neighbour >= 0) & (neighbour < sizes[sentence_of]))
-            keys.append(row_of_token[tokens] * self.width + columns[ids[tokens + offset]])
-        keys, counts = np.unique(np.concatenate(keys), return_counts=True)
-        row = keys // self.width
-        columns = keys - row * self.width
-        values = counts.astype(np.float64)
-        norms = np.sqrt(np.bincount(row, weights=values * values, minlength=num_rows))
-        kept = columns < self.dim  # a placed memo's other columns, dropped after the norms
-        if not kept.all():
-            row, columns, values = row[kept], columns[kept], values[kept]
-        indptr = np.zeros(num_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row, minlength=num_rows), out=indptr[1:])
-        return FeatureBlock(indptr, columns, values / norms[row], self.dim)
+            tokens = np.flatnonzero((position >= -offset) & (position < length - offset))
+            start, end = end, end + len(tokens)
+            np.take(columns, ids[tokens + offset], out=keys[start:end], mode="clip")
+            keys[start:end] += row_of_token[tokens] * self.width
+        del sentence_of, position, length, row_of_token
+        keys.sort()
+        distinct = np.empty(len(keys), dtype=bool)
+        distinct[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+        occurrences, keys = len(keys), keys[distinct]  # the buffer is freed here
+        first = np.flatnonzero(distinct)
+        del distinct
+        values = np.empty(len(keys))  # how often each distinct key occurs
+        np.subtract(first[1:], first[:-1], out=values[:-1])
+        values[-1:] = occurrences - first[-1:]
+        del first
+        # Each row's first entry, and the first past its columns below ``dim``
+        # (a row's columns are sorted); no row is empty.
+        starts = np.arange(num_rows + 1) * self.width
+        indptr = np.searchsorted(keys, starts)
+        ends = np.searchsorted(keys, starts[:-1] + self.dim)
+        # Sums of whole squares are exact, so the order they are added in does not matter.
+        norms = np.sqrt(np.add.reduceat(values * values, indptr[:-1]))
+        values /= np.repeat(norms, np.diff(indptr))
+        columns = keys
+        del keys  # so that filtering frees the unfiltered columns
+        columns %= self.width
+        if not np.array_equal(ends, indptr[1:]):  # a placed memo's other columns are dropped
+            kept = columns < self.dim
+            columns = columns[kept]  # one at a time, each freeing its unfiltered array
+            values = values[kept]
+            np.cumsum(ends - indptr[:-1], out=indptr[1:])
+        return FeatureBlock(indptr, columns, values, self.dim)
+
+    def neighboured(self, sizes: np.ndarray) -> np.ndarray:
+        """How many context features each sentence of these lengths has: at
+        each window offset, one per token with a neighbour there."""
+        counts = np.zeros_like(sizes)
+        for offset in self.context:
+            counts += np.maximum(sizes - abs(offset), 0)
+        return counts
 
     def neighbours(
         self, ids: np.ndarray, sizes: np.ndarray
@@ -207,17 +249,28 @@ class _WordColumns:
         for offset, context in self.context.items():
             yield context, ids[(position >= offset) & (position - offset < length)]
 
-    def touched(self, ids: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    def touched(self, ids: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The sorted columns that the rows of these sentences touch, pooled
         or not: every word's own columns (each word of the memo occurs), and
-        the context columns of the words that are neighbours."""
+        the context columns of the words that are neighbours; and the place of
+        each own column among them, from the same sort."""
         columns = [self.own]
         for context, neighbours in self.neighbours(ids, sizes):
             occurs = np.zeros(len(self.counts), dtype=bool)
             occurs[neighbours] = True
             columns.append(context[occurs])
-        columns = np.sort(np.concatenate(columns))
-        return columns[np.diff(columns, prepend=-1) != 0]  # every column is >= 0
+        columns = np.concatenate(columns)
+        order = np.argsort(columns)
+        columns = columns[order]
+        rank = np.zeros_like(order)  # each sorted column's place among the distinct ones
+        np.not_equal(columns[1:], columns[:-1], out=rank[1:])
+        np.cumsum(rank, out=rank)
+        cols = np.empty(int(rank[-1]) + 1 if len(rank) else 0, dtype=np.int64)
+        cols[rank] = columns  # equal columns share a place
+        del columns
+        places = np.empty_like(order)
+        places[order] = rank
+        return cols, places[:len(self.own)].copy()  # not a view of every place
 
     def occurrences(self, ids: np.ndarray, sizes: np.ndarray) -> int:
         """How many feature occurrences these sentences have in the columns
@@ -229,27 +282,33 @@ class _WordColumns:
         return int(total)
 
     def whole(self, ids: np.ndarray, sizes: np.ndarray, pooled: bool) -> FeatureBlock:
-        """The rows of these sentences, written ``_CHUNK_SENTENCES`` sentences
-        at a time into arrays sized by ``occurrences`` (the most entries there
-        can be) and trimmed in place, so the chunks are never joined into a
-        second copy."""
+        """The rows of these sentences, made a chunk of whole sentences at a
+        time, each chunk at most ``_CHUNK_OCCURRENCES`` feature occurrences (a
+        longer sentence is a chunk by itself), and written into arrays sized by
+        ``occurrences`` (the most entries there can be) and trimmed in place,
+        so the chunks are never joined into a second copy."""
         if self.width > np.iinfo(np.int64).max // max(len(ids), 1):
             raise ValueError(f"feature key width {self.width} overflows the row keys")
         bound = self.occurrences(ids, sizes)
         indptr = np.zeros((len(sizes) if pooled else len(ids)) + 1, dtype=np.int64)
         indices = np.empty(bound, dtype=np.int64)
         values = np.empty(bound)
-        first_token = np.cumsum(sizes) - sizes
-        rows = entries = 0
-        for lo in range(0, len(sizes), _CHUNK_SENTENCES):
-            chunk_sizes = sizes[lo:lo + _CHUNK_SENTENCES]
-            chunk_ids = ids[first_token[lo]:first_token[lo] + chunk_sizes.sum()]
-            chunk = self.rows(chunk_ids, chunk_sizes, pooled)
+        last_token = np.cumsum(sizes)
+        # The feature occurrences, own and context, of the sentences up to each
+        # one's end, below ``dim`` or not: every one is a key of ``rows``.
+        ends = np.append(0, np.cumsum(self.counts[ids]))[last_token]
+        ends += np.cumsum(self.neighboured(sizes))
+        rows = entries = lo = 0
+        while lo < len(sizes):
+            done = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, done + _CHUNK_OCCURRENCES, "right")))
+            chunk = self.rows(ids[last_token[lo] - sizes[lo]:last_token[hi - 1]], sizes[lo:hi],
+                              pooled)
             end = entries + len(chunk.indices)
             indptr[rows + 1:rows + len(chunk) + 1] = chunk.indptr[1:] + entries
             indices[entries:end] = chunk.indices
             values[entries:end] = chunk.values
-            rows, entries = rows + len(chunk), end
+            rows, entries, lo = rows + len(chunk), end, hi
             del chunk  # before the next chunk is built
         # Trimmed in place, which frees the unused tail without a copy. Resizing
         # moves the buffer, so nothing may hold a view of ``indices`` or
@@ -339,8 +398,8 @@ class HashedNgramFeaturizer:
         rows touch, read off the call's memo, and the block featurized straight
         onto them, without the block over every column."""
         ids, sizes, memo = self._words(sentences)
-        cols = memo.touched(ids, sizes)
-        memo = memo.onto(cols)  # the memo over every column is freed here
+        cols, own = memo.touched(ids, sizes)
+        memo = memo.onto(cols, own)  # the memo over every column is freed here
         return cols, memo.whole(ids, sizes, pooled)
 
     def token_features(self, tokens: list[str]) -> list[FeatureVector]:

@@ -8,7 +8,6 @@ all-negative attribution vectors normalize to uniform.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -90,20 +89,31 @@ def _macro_f1(class_counts: dict[EmotionLabel, tuple[int, int, int]]) -> float:
 
 def instance_token_f1(gold_mask: list[int], pred_mask: list[int]) -> float:
     """Positional F1 over one sentence's binary trigger mask."""
-    if len(gold_mask) != len(pred_mask):
-        raise ValueError(f"length mismatch: {len(gold_mask)} gold vs {len(pred_mask)} pred")
-    pairs = Counter(zip(gold_mask, pred_mask))
-    tp, fp, fn = pairs[1, 1], pairs[0, 1], pairs[1, 0]
-    if tp + fp + fn == 0:
-        return 1.0  # both masks empty: correctly predicted "no triggers"
-    return 2 * tp / (2 * tp + fp + fn)
+    return float(_token_f1s([(gold_mask, pred_mask)])[0])
+
+
+def _token_f1s(instances: list[tuple[list[int], list[int]]]) -> np.ndarray:
+    """Each instance's positional token F1, ``2tp / (2tp + fp + fn)``, or 1.0
+    when both masks are empty (correctly predicted "no triggers"); counted
+    for all instances at once over their concatenated masks."""
+    sizes = np.array([(len(g), len(p)) for g, p in instances], dtype=np.int64).reshape(-1, 2)
+    mismatched = sizes[sizes[:, 0] != sizes[:, 1]]
+    if len(mismatched):
+        raise ValueError("length mismatch: {} gold vs {} pred".format(*mismatched[0]))
+    gold = np.fromiter(chain.from_iterable(g for g, _ in instances), dtype=np.float64)
+    pred = np.fromiter(chain.from_iterable(p for _, p in instances), dtype=np.float64)
+    instance = np.repeat(np.arange(len(sizes)), sizes[:, 0])
+    tp, fp, fn = (np.bincount(instance, weights=(gold == g) & (pred == p), minlength=len(sizes))
+                  for g, p in ((1, 1), (0, 1), (1, 0)))  # exact: sums of ones
+    scored = 2 * tp + fp + fn
+    return np.divide(2 * tp, scored, out=np.ones(len(sizes)), where=scored > 0)
 
 
 def corpus_token_f1(instances: list[tuple[list[int], list[int]]]) -> float:
     """Mean of per-instance token F1."""
     if not instances:
         raise ValueError("instances must be non-empty")
-    return float(np.mean([instance_token_f1(g, p) for g, p in instances]))
+    return float(np.mean(_token_f1s(instances)))
 
 
 def accumulated_importance(gold_mask: list[int], attributions: Attributions) -> float:

@@ -3,7 +3,9 @@ import dataclasses
 import hashlib
 import random
 import sys
+import tracemalloc
 from math import sqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -71,6 +73,18 @@ def assert_blocks_match_reference(featurizer, sentences) -> None:
         assert_same(pooled_block.row(s), reference_vectorize(featurizer, pooled))
 
 
+def sentences_over(rng: random.Random, words: list[str], occurrences: int) -> list[list[str]]:
+    """Sentences of one to four of these words, drawn until their feature
+    occurrences at the default window and n-grams exceed ``occurrences``."""
+    featurizer = HashedNgramFeaturizer()
+    sentences, total = [], 0
+    while total <= occurrences:
+        tokens = rng.choices(words, k=rng.randint(1, 4))
+        sentences.append(tokens)
+        total += sum(len(reference_raw_features(featurizer, tokens, i)) for i in range(len(tokens)))
+    return sentences
+
+
 # Few distinct words, so sentences repeat them; some are non-ASCII or one character.
 WORD_LIST = ["a", "the", "cat", "ü", "naïve", "日本語", "зима", "a-b", "zqglow", "ab"]
 WORDS = st.sampled_from(WORD_LIST)
@@ -108,10 +122,7 @@ class TestBlockMatchesReference:
     def test_rows_across_chunk_boundaries(self):
         rng = random.Random(5)
         words = ["a", "the", "ü", "zqglow", "morning", "日本語"]
-        sentences = [
-            [rng.choice(words) for _ in range(rng.randint(1, 4))]
-            for _ in range(2 * features._CHUNK_SENTENCES + 3)
-        ]
+        sentences = sentences_over(rng, words, 2 * features._CHUNK_OCCURRENCES + 3)
         assert_blocks_match_reference(HashedNgramFeaturizer(dim=32), sentences)
 
     def test_default_dim_matches_reference(self):
@@ -214,8 +225,8 @@ def assert_same_block(got: FeatureBlock, want: FeatureBlock) -> None:
        kind=st.sampled_from(["empty", "full", "random", "edges"]))
 def test_featurize_onto_columns_equals_select(seed, pooled, dim, kind):
     rng = random.Random(seed)
-    count = rng.randint(features._CHUNK_SENTENCES + 1, 2 * features._CHUNK_SENTENCES + 10)
-    sentences = [rng.choices(WORD_LIST, k=rng.randint(1, 4)) for _ in range(count)]
+    budget = features._CHUNK_OCCURRENCES
+    sentences = sentences_over(rng, WORD_LIST, rng.randint(budget + 1, 2 * budget + 10))
     featurizer = HashedNgramFeaturizer(dim=dim)
     block = featurizer.featurize(sentences, pooled)
     # A random half of the block's columns, so that past 64 columns some entries stay.
@@ -306,8 +317,7 @@ def test_occurrences_count_the_reference_features_in_the_columns(sentences, dim,
 
 def test_featurize_compact_across_chunk_boundaries():
     rng = random.Random(9)
-    sentences = [rng.choices(WORD_LIST, k=rng.randint(1, 4))
-                 for _ in range(2 * features._CHUNK_SENTENCES + 7)]
+    sentences = sentences_over(rng, WORD_LIST, 2 * features._CHUNK_OCCURRENCES + 7)
     featurizer = HashedNgramFeaturizer(dim=2**18)
     for pooled in (False, True):
         cols, block = featurizer.featurize_compact(sentences, pooled)
@@ -365,3 +375,130 @@ def test_word_features_are_the_padded_ngrams(ngrams):
     for word in ["a", "ab", "cat", "naïve", "日本語", "morning", "zqglowzqglow"]:
         want = reference_raw_features(dataclasses.replace(featurizer, window=0), [word], 0)
         assert featurizer._word_features(word) == want
+
+
+def unique_reference(featurizer, sentences, pooled: bool) -> FeatureBlock:
+    """The block from one ``np.unique`` over every feature occurrence's key,
+    ``row * dim + column``, of the whole corpus at once: no chunks, no placement."""
+    hashes: dict[str, int] = {}
+    rows, columns = [], []
+    token = 0
+    for s, tokens in enumerate(sentences):
+        for i in range(len(tokens)):
+            for feature in reference_raw_features(featurizer, tokens, i):
+                if feature not in hashes:
+                    hashes[feature] = reference_hash(feature, featurizer.salt, featurizer.dim)
+                rows.append(s if pooled else token)
+                columns.append(hashes[feature])
+            token += 1
+    num_rows = len(sentences) if pooled else token
+    keys = np.array(rows, dtype=np.int64) * featurizer.dim + np.array(columns, dtype=np.int64)
+    keys, counts = np.unique(keys, return_counts=True)
+    row, column = keys // featurizer.dim, keys % featurizer.dim
+    values = counts.astype(np.float64)
+    norms = np.sqrt(np.bincount(row, weights=values * values, minlength=num_rows))
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=num_rows), out=indptr[1:])
+    return FeatureBlock(indptr, column, values / norms[row], featurizer.dim)
+
+
+def assert_featurize_equals_unique_reference(featurizer, sentences, pooled, cols) -> None:
+    """featurize, with and without ``cols``, and featurize_compact against the reference."""
+    whole = unique_reference(featurizer, sentences, pooled)
+    assert_same_block(featurizer.featurize(sentences, pooled), whole)
+    assert_same_block(featurizer.featurize(sentences, pooled, cols=cols), select_oracle(whole, cols))
+    touched = np.unique(whole.indices)
+    got_cols, compact = featurizer.featurize_compact(sentences, pooled)
+    assert got_cols.dtype == np.int64 and np.array_equal(got_cols, touched)
+    assert_same_block(compact, select_oracle(whole, touched))
+
+
+# An empty-string token (its only feature is the word), and a word whose 88
+# features alone exceed the smallest budgets below.
+CHUNK_WORDS = [*WORD_LIST, "", "x" * 30]
+
+
+# Small budgets, so that a few sentences span several chunks and some one
+# sentence is longer than the budget; dims down to 8, so that columns collide.
+@settings(max_examples=80, deadline=None)
+@given(sentences=st.lists(st.lists(st.sampled_from(CHUNK_WORDS), min_size=1, max_size=12),
+                          max_size=12),
+       pooled=st.booleans(), dim=st.sampled_from([8, 9, 64, 2**18]),
+       budget=st.integers(1, 300), seed=st.integers(0, 2**32 - 1), empty_cols=st.booleans())
+@example(sentences=[], pooled=False, dim=8, budget=1, seed=0, empty_cols=True)
+@example(sentences=[], pooled=True, dim=8, budget=1, seed=0, empty_cols=False)
+@example(sentences=[[""], ["", "a", ""]], pooled=False, dim=8, budget=2, seed=0, empty_cols=False)
+@example(sentences=[["x" * 30, "a"], ["the"]], pooled=True, dim=9, budget=50, seed=0,
+         empty_cols=True)
+def test_featurize_equals_unique_over_every_occurrence_key(sentences, pooled, dim, budget, seed,
+                                                           empty_cols):
+    rng = np.random.default_rng(seed)
+    cols = np.unique(rng.integers(0, dim, size=0 if empty_cols else rng.integers(1, 2 * dim)))
+    with mock.patch.object(features, "_CHUNK_OCCURRENCES", budget):
+        assert_featurize_equals_unique_reference(
+            HashedNgramFeaturizer(dim=dim), sentences, pooled, cols)
+
+
+def test_featurize_at_the_occurrence_budget_equals_unique_over_every_occurrence_key():
+    # Chunks of the real budget on both sides of one sentence longer than it.
+    rng = random.Random(11)
+    budget = features._CHUNK_OCCURRENCES
+    long = [token for tokens in sentences_over(rng, CHUNK_WORDS, budget) for token in tokens]
+    sentences = sentences_over(rng, CHUNK_WORDS, budget) + [long] + sentences_over(
+        rng, CHUNK_WORDS, budget)
+    featurizer = HashedNgramFeaturizer(dim=64)
+    cols = np.arange(0, 64, 3)
+    for pooled in (False, True):
+        assert_featurize_equals_unique_reference(featurizer, sentences, pooled, cols)
+
+
+def random_words(rng: random.Random, count: int) -> list[str]:
+    return ["".join(rng.choices("abcdefghijklmnop", k=rng.randint(2, 9))) for _ in range(count)]
+
+
+def traced_peak(call):
+    """What ``call()`` returns, and the most memory it held at once, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def nbytes(block: FeatureBlock) -> int:
+    return block.indptr.nbytes + block.indices.nbytes + block.values.nbytes
+
+
+class TestScratchFollowsTheOccurrenceBudget:
+    """Counted by tracemalloc, which sees numpy's buffers: featurize's peak is
+    its output block plus the scratch of one chunk, whatever the corpus size."""
+
+    # The most scratch featurize may hold per feature occurrence of the budget.
+    # It holds about 31 bytes: one 8-byte key per occurrence, then the
+    # distinct keys' columns, counts and one temporary. One more
+    # occurrence-sized array kept through a chunk reads 39, and listing the
+    # keys, joining them and letting np.unique copy them read 72.
+    BYTES_PER_OCCURRENCE = 35
+
+    @pytest.fixture(scope="class")
+    def featurized(self):
+        rng = random.Random(17)
+        words = random_words(rng, 400)
+        featurizer = HashedNgramFeaturizer()
+        cols, _ = featurizer.featurize_compact(
+            [rng.choices(words[:300], k=rng.randint(4, 12)) for _ in range(300)])
+        # About three budgets of feature occurrences, and four times as many.
+        large = [rng.choices(words, k=rng.randint(4, 12)) for _ in range(2400)]
+        return {size: traced_peak(lambda: featurizer.featurize(sentences, cols=cols))
+                for size, sentences in (("1x", large[:600]), ("4x", large))}
+
+    def test_four_times_the_sentences_add_no_more_than_their_output(self, featurized):
+        (small, small_peak), (large, large_peak) = featurized["1x"], featurized["4x"]
+        assert len(large) > 3 * len(small)
+        assert large_peak - small_peak <= nbytes(large)
+
+    def test_scratch_per_budgeted_occurrence_is_pinned(self, featurized):
+        block, peak = featurized["1x"]
+        assert peak - nbytes(block) <= self.BYTES_PER_OCCURRENCE * features._CHUNK_OCCURRENCES

@@ -147,6 +147,26 @@ class TestCorpusTokenF1:
         want = sum(oracle_token_f1(g, p) for g, p in instances) / len(instances)
         assert corpus_token_f1(instances) == pytest.approx(want, abs=1e-12)
 
+    # Counted for all instances at once, yet bit-equal to the mean of the
+    # per-instance scores, empty instances included.
+    @settings(max_examples=200, deadline=None)
+    @given(instances=st.lists(
+        st.integers(0, 12).flatmap(lambda n: st.tuples(
+            st.lists(st.integers(0, 1), min_size=n, max_size=n),
+            st.lists(st.integers(0, 1), min_size=n, max_size=n))),
+        min_size=1, max_size=30))
+    def test_bit_equal_to_the_mean_of_per_instance_scores(self, instances):
+        want = float(np.mean([oracle_token_f1(g, p) for g, p in instances]))
+        assert corpus_token_f1(instances) == want
+
+    def test_length_mismatch_names_the_first_mismatched_instance(self):
+        with pytest.raises(ValueError, match="^length mismatch: 1 gold vs 2 pred$"):
+            corpus_token_f1([([0], [0]), ([1], [1, 0]), ([], [0])])
+
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            corpus_token_f1([])
+
 
 class TestNormalizeAttributions:
     def test_already_normalized_unchanged(self):
