@@ -91,14 +91,6 @@ class FeatureBlock:
             cols, indices = np.unique(self.indices, return_inverse=True)
         return cols, FeatureBlock(self.indptr, indices, self.values, len(cols))
 
-    def select(self, cols: np.ndarray) -> FeatureBlock:
-        """The block over the sorted feature columns ``cols`` only, re-indexed
-        onto ``0..K-1`` in that order; entries in any other column are dropped."""
-        indices = _place(np.asarray(cols, dtype=np.int64), self.indices)
-        kept = indices < len(cols)
-        ends = np.concatenate(([0], np.cumsum(kept)))  # entries kept before each position
-        return FeatureBlock(ends[self.indptr], indices[kept], self.values[kept], len(cols))
-
 
 # The widest block that ``compact`` re-indexes through a table over its
 # columns: 288 KB of scratch at most, whatever the hashed dimension.
@@ -382,9 +374,10 @@ class HashedNgramFeaturizer:
         A token's features are its word features plus ``ctx<offset>=<word>``
         for every neighbour within the window. Each row holds the hashed
         feature counts, L2-normalized. With ``cols``, sorted distinct feature
-        columns, the block is ``featurize(sentences, pooled).select(cols)``,
-        made from the call's memo placed onto ``cols`` once, so neither the
-        block over every column nor a table as wide as ``dim`` is ever held.
+        columns, the block keeps only the entries in ``cols``, re-indexed onto
+        ``0..len(cols)-1`` in that order. It is made from the call's memo
+        placed onto ``cols`` once, so neither the block over every column nor a
+        table as wide as ``dim`` is ever held.
         """
         ids, sizes, memo = self._words(sentences)
         if cols is not None:

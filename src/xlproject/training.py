@@ -22,7 +22,7 @@ from .model import (
     predict_binary,
     restrict,
 )
-from .optim import AdamWState, adamw_step
+from .optim import AdamWState, adamw_step, helper_pool
 
 ALLOWED_LEARNING_RATES = (2e-6, 2e-5, 5e-5, 2e-4)
 TASKS = ("emotion", "trigger")
@@ -240,40 +240,43 @@ def train(
     best_score = -1.0
     best_params: dict[str, np.ndarray] | None = None
     step = 0
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(labels))
-        epoch_loss = 0.0
-        for start in range(0, len(labels), config.batch_size):
-            rows = order[start:start + config.batch_size]
-            batch_cols, batch = block.take(rows).compact()
-            fresh = batch_cols[slot[batch_cols] < 0]
-            if len(fresh):  # first touches, plain head only: new zero columns
-                slot[fresh] = np.arange(live, live + len(fresh))
-                live += len(fresh)
-            # The batch keeps its column order, so its sums are the same at any places.
-            places = slot[batch_cols]
-            loss, grads = loss_and_grads(*restrict(model, adapter, places), batch, labels[rows])
-            grads[wide] = (places, grads[wide])
-            epoch_loss += loss * len(rows)
-            lr = config.lr
-            if config.schedule == "linear":
-                lr = config.lr * (1.0 - step / total_steps)
-            views = {**params, wide: params[wide][:, :live]}
-            adamw_step(state, views, grads, lr, config.weight_decay, out=views)
-            step += 1
-        record = {"epoch": epoch, "train_loss": epoch_loss / len(labels)}
-        if validation is not None:
-            # Every column is live after an epoch; each row keeps its entry order.
-            placed = FeatureBlock(validation_block.indptr, slot[validation_block.indices],
-                                  validation_block.values, len(cols))
-            score = _validation_score(task, validation, forward(model, adapter, placed))
-            record["validation_score"] = score
-            if score > best_score:
-                best_score = score
-                # After the last epoch the best parameters are the head's own.
-                last = epoch == config.epochs - 1
-                best_params = None if last else {k: p.copy() for k, p in params.items()}
-        trained.history.append(record)
+    # AdamW splits a step of several chunks over the CPUs; the pool's threads
+    # end with the block, also when training raises.
+    with helper_pool() as pool:
+        for epoch in range(config.epochs):
+            order = rng.permutation(len(labels))
+            epoch_loss = 0.0
+            for start in range(0, len(labels), config.batch_size):
+                rows = order[start:start + config.batch_size]
+                batch_cols, batch = block.take(rows).compact()
+                fresh = batch_cols[slot[batch_cols] < 0]
+                if len(fresh):  # first touches, plain head only: new zero columns
+                    slot[fresh] = np.arange(live, live + len(fresh))
+                    live += len(fresh)
+                # The batch keeps its column order, so its sums are the same at any places.
+                places = slot[batch_cols]
+                loss, grads = loss_and_grads(*restrict(model, adapter, places), batch, labels[rows])
+                grads[wide] = (places, grads[wide])
+                epoch_loss += loss * len(rows)
+                lr = config.lr
+                if config.schedule == "linear":
+                    lr = config.lr * (1.0 - step / total_steps)
+                views = {**params, wide: params[wide][:, :live]}
+                adamw_step(state, views, grads, lr, config.weight_decay, out=views, pool=pool)
+                step += 1
+            record = {"epoch": epoch, "train_loss": epoch_loss / len(labels)}
+            if validation is not None:
+                # Every column is live after an epoch; each row keeps its entry order.
+                placed = FeatureBlock(validation_block.indptr, slot[validation_block.indices],
+                                      validation_block.values, len(cols))
+                score = _validation_score(task, validation, forward(model, adapter, placed))
+                record["validation_score"] = score
+                if score > best_score:
+                    best_score = score
+                    # After the last epoch the best parameters are the head's own.
+                    last = epoch == config.epochs - 1
+                    best_params = None if last else {k: p.copy() for k, p in params.items()}
+            trained.history.append(record)
 
     if best_params is not None:
         for key, value in best_params.items():

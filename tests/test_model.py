@@ -2,7 +2,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +233,20 @@ class TestLoraContracts:
         assert model.W0.tobytes() == w0_before.tobytes()
 
 
+@pytest.fixture
+def range_threads(monkeypatch):
+    """The threads that run the ranges of AdamW's steps, in call order."""
+    threads = []
+    update = optim._update
+
+    def recorded(*args):
+        threads.append(threading.current_thread())
+        update(*args)
+
+    monkeypatch.setattr(optim, "_update", recorded)
+    return threads
+
+
 class TestAdamW:
     def test_null_step_keeps_params(self):
         params = {"w": np.array([1.0, -2.0])}
@@ -357,6 +373,87 @@ class TestAdamW:
                 assert state.m[key].tobytes() == oracle[0][key].tobytes()
                 assert state.v[key].tobytes() == oracle[1][key].tobytes()
         assert state.work is work  # allocated once, by init
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
+    def test_split_step_bit_identical_to_one_thread_and_oracle(
+        self, monkeypatch, range_threads, sparse, weight_decay, cpus
+    ):
+        # W0 has 3 rows and chunks of 30 elements are 10 columns, so every width
+        # below splits: into 1 + 2 rows on two CPUs, and into one row per range
+        # on four when there are 3 chunks or more. 33 is odd, and a step with no
+        # gradient columns leaves every range without any.
+        monkeypatch.setattr(optim, "_CHUNK_ELEMENTS", 30)
+        monkeypatch.setattr(optim, "_cpus", lambda: cpus)
+        rng = np.random.default_rng(37)
+        params = {"W0": np.zeros((3, 50)), "b": np.zeros(3)}
+        params["W0"][:, :20] = rng.normal(size=(3, 20))
+        serial = {key: p.copy() for key, p in params.items()}
+        want = {key: p.copy() for key, p in params.items()}
+        state, serial_state = AdamWState.init(params), AdamWState.init(params)
+        work, sizes = state.work, [w.size for w in serial_state.work]
+        oracle = ({k: np.zeros_like(p) for k, p in params.items()},) * 2 + (0,)
+        with ThreadPoolExecutor(cpus - 1) as pool:
+            # The parameter is narrower than its state until the last steps.
+            for width, count in ((20, 6), (20, 0), (33, 5), (33, 33), (50, 7), (50, 0)):
+                cols = rng.choice(width, size=count, replace=False)
+                values = rng.normal(size=(3, count))
+                dense = np.zeros((3, 50))
+                dense[:, cols] = values
+                grads = {"W0": (cols, values) if sparse else dense[:, :width],
+                         "b": rng.normal(size=3)}
+                for head, moments, kwargs in ((params, state, {"pool": pool}),
+                                              (serial, serial_state, {})):
+                    views = {"W0": head["W0"][:, :width], "b": head["b"]}
+                    adamw_step(moments, views, grads, 2e-4, weight_decay, out=views, **kwargs)
+                want, oracle = per_instance_oracle.adamw_step(
+                    oracle, want, {**grads, "W0": dense}, 2e-4, weight_decay)
+                for key in params:
+                    assert params[key].tobytes() == serial[key].tobytes() == want[key].tobytes()
+                    for name, got, one_thread, expected in (
+                        ("m", state.m, serial_state.m, oracle[0]),
+                        ("v", state.v, serial_state.v, oracle[1]),
+                    ):
+                        assert got[key].tobytes() == one_thread[key].tobytes(), name
+                        assert got[key].tobytes() == expected[key].tobytes(), name
+        assert any(thread is not threading.main_thread() for thread in range_threads)
+        assert state.work is work and [w.size for w in work] == sizes  # shared, not grown
+
+    def test_split_step_under_contention(self, monkeypatch):
+        # Eight ranges on seven pool threads, more than the host's CPUs, with the
+        # interpreter switching threads as often as it can: a lost or misplaced
+        # update would differ from the one-thread step.
+        monkeypatch.setattr(optim, "_CHUNK_ELEMENTS", 64)
+        monkeypatch.setattr(optim, "_cpus", lambda: 8)
+        rng = np.random.default_rng(41)
+        params = {"W0": rng.normal(size=(8, 200))}
+        serial = {"W0": params["W0"].copy()}
+        state, serial_state = AdamWState.init(params), AdamWState.init(serial)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(7) as pool:
+                for _ in range(30):
+                    cols = rng.choice(200, size=40, replace=False)
+                    grads = {"W0": (cols, rng.normal(size=(8, 40)))}
+                    adamw_step(state, params, grads, 2e-4, 0.01, out=params, pool=pool)
+                    adamw_step(serial_state, serial, grads, 2e-4, 0.01, out=serial)
+        finally:
+            sys.setswitchinterval(interval)
+        assert params["W0"].tobytes() == serial["W0"].tobytes()
+        assert state.m["W0"].tobytes() == serial_state.m["W0"].tobytes()
+        assert state.v["W0"].tobytes() == serial_state.v["W0"].tobytes()
+
+    def test_one_chunk_step_stays_on_the_calling_thread(self, monkeypatch, range_threads):
+        monkeypatch.setattr(optim, "_cpus", lambda: 2)
+        # 2 x 2^15 elements is one chunk: the north star's largest head.
+        params = {"W0": np.zeros((2, 2**15)), "b": np.zeros(2)}
+        state = AdamWState.init(params)
+        grads = {"W0": (np.array([0, 7]), np.ones((2, 2))), "b": np.ones(2)}
+        with ThreadPoolExecutor(1) as pool:
+            adamw_step(state, params, grads, 2e-4, out=params, pool=pool)
+        assert range_threads == [threading.main_thread()] * 2
 
     def test_in_place_step_allocates_less_than_a_parameter(self):
         # Counted by tracemalloc, which sees numpy's buffers; a column gradient, as in train.

@@ -1,11 +1,14 @@
+import contextlib
 import dataclasses
 import json
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from xlproject.corpus import AnnotatedSentence, Corpus, DatasetTag
+from xlproject import cli, optim, training
+from xlproject.corpus import AnnotatedSentence, Corpus, DatasetTag, save_corpus
 from xlproject.features import HashedNgramFeaturizer
 from xlproject.metrics import corpus_token_f1, macro_f1
 from xlproject.model import LinearModel, LoraAdapter, forward, loss_and_grads
@@ -357,11 +360,85 @@ class TestTouchedColumnTraining:
         sentence = AnnotatedSentence(
             id="q", tokens=[word], language="en", origin=DatasetTag.D_S, trigger_mask=[0]
         )
-        block = featurizer.featurize([[word]]).select(trained.cols)
+        block = featurizer.featurize([[word]], cols=trained.cols)
         assert len(block.indices) == 0
         logits = forward(trained.model, trained.adapter, block)
         assert np.array_equal(logits, trained.model.b[None, :])
         assert trained.predict_mask(sentence) == [int(np.argmax(trained.model.b))]
+
+
+@pytest.fixture
+def split_steps(monkeypatch):
+    """Makes AdamW split every head of more than 64 elements over two CPUs,
+    whatever the host; returns the threads that ran a range of a step."""
+    monkeypatch.setattr(optim, "_CHUNK_ELEMENTS", 64)
+    monkeypatch.setattr(optim, "_cpus", lambda: 2)
+    threads = []
+    update = optim._update
+
+    def recorded(*args):
+        threads.append(threading.current_thread())
+        update(*args)
+
+    monkeypatch.setattr(optim, "_update", recorded)
+    return threads
+
+
+def helper_ran(threads) -> bool:
+    return any(thread is not threading.main_thread() for thread in threads)
+
+
+class TestSplitSteps:
+    @pytest.mark.parametrize("task", ["emotion", "trigger"])
+    @pytest.mark.parametrize("lora", [None, LoraConfig(rank=3, alpha=8.0)], ids=["plain", "lora"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_equals_one_thread_and_dense_training(self, split_steps, task, lora, weight_decay):
+        corpus = synthetic_corpus(24, seed=21)
+        validation = synthetic_corpus(12, seed=22, id_prefix="v")
+        config = small_config(epochs=2, batch_size=8, lora=lora, weight_decay=weight_decay,
+                              feature_dim=2**11)
+        got = train(corpus, task, config, validation=validation)
+        assert helper_ran(split_steps)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(training, "helper_pool", lambda: contextlib.nullcontext(None))
+            one_thread = train(corpus, task, config, validation=validation)
+        expected, _ = dense_reference_train(corpus, task, config, validation)
+        dim = config.feature_dim
+        for value, serial, want in zip(full_width_arrays(got, dim),
+                                       full_width_arrays(one_thread, dim),
+                                       full_width_arrays(expected, dim), strict=True):
+            assert value.tobytes() == serial.tobytes() == want.tobytes()
+        assert got.history == one_thread.history == expected.history
+
+    def test_no_thread_outlives_train(self, split_steps):
+        before = set(threading.enumerate())
+        train(synthetic_corpus(24, seed=21), "emotion", small_config(),
+              validation=synthetic_corpus(12, seed=22, id_prefix="v"))
+        assert helper_ran(split_steps)
+        assert set(threading.enumerate()) == before
+
+    def test_no_thread_outlives_a_train_command_that_fails(self, split_steps, monkeypatch,
+                                                           tmp_path, capsys):
+        # The gradients turn non-finite at the third step, after the helper has run.
+        calls = []
+
+        def non_finite_later(*args):
+            loss, grads = loss_and_grads(*args)
+            calls.append(None)
+            if len(calls) < 3:
+                return loss, grads
+            return loss, {key: np.full_like(grad, np.nan) for key, grad in grads.items()}
+
+        monkeypatch.setattr(training, "loss_and_grads", non_finite_later)
+        save_corpus(synthetic_corpus(48, seed=21), tmp_path / "d_s.jsonl")
+        before = set(threading.enumerate())
+        code = cli.main(["train", "--input", str(tmp_path / "d_s.jsonl"), "--task", "emotion",
+                         "--epochs", "1", "--batch-size", "8", "--feature-dim", "2048",
+                         "--output", str(tmp_path / "model.npz")])
+        assert code == cli.EXIT_INTERNAL
+        assert "non-finite gradient for" in capsys.readouterr().err
+        assert len(calls) == 3 and helper_ran(split_steps)
+        assert set(threading.enumerate()) == before
 
 
 class TestMemoryDoesNotFollowTheFeatureDim:
