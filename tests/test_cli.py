@@ -497,6 +497,44 @@ class TestCommands:
         assert (tmp_path / "confusion.csv").read_text().startswith("gold\\pred,")
 
 
+class TestParser:
+    def test_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(cli.SUBCOMMANDS) + "}" in out
+        for name, (_, help_line, _) in cli.SUBCOMMANDS.items():
+            assert f"    {name:<20}{help_line}\n" in out
+
+    @pytest.mark.parametrize("command", list(cli.SUBCOMMANDS))
+    def test_a_commands_help_is_the_full_parsers(self, capsys, command):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([command, "--help"])
+        full = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == full
+
+    def test_unknown_command_exits_2_listing_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bogus", "--input", "x"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "xlproject: error: argument command: invalid choice: 'bogus' (choose from 'split', "
+            "'project', 'switch', 'combine', 'train', 'predict', 'evaluate', 'parse-llm', "
+            "'stats')\n")
+
+    def test_only_the_invoked_command_gets_its_arguments(self, capsys):
+        argv = ["predict", "--model", "m.npz", "--input", "i.jsonl", "--output", "o.jsonl"]
+        assert cli.build_parser("predict").parse_args(argv).model == "m.npz"
+        assert cli.build_parser().parse_args(argv).model == "m.npz"
+        with pytest.raises(SystemExit):
+            cli.build_parser("train").parse_args(argv)
+        assert "unrecognized arguments: --model m.npz" in capsys.readouterr().err
+
+
 class TestPredict:
     def predict(self, tmp_path, model, corpus):
         save_corpus(corpus, tmp_path / "test.jsonl")

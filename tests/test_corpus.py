@@ -1,13 +1,19 @@
 import contextlib
 import copy
+import itertools
 import json
 import sys
+import tempfile
+import tracemalloc
 import unicodedata
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xlproject import corpus as corpus_module
 from xlproject.corpus import (
     _WHITESPACE,
     LANGUAGES,
@@ -17,11 +23,14 @@ from xlproject.corpus import (
     DatasetTag,
     EmotionLabel,
     _sentence_from_record,
+    check_new_id,
+    encode_json,
     label_distribution,
     load_corpus,
     read_jsonl,
     save_corpus,
     split_train_validation,
+    write_jsonl,
 )
 
 tokens_strategy = st.lists(
@@ -563,3 +572,355 @@ def test_jsonl_lines_read_as_json_loads_reads_them(tmp_path, text):
         got.extend(read_jsonl(path))
     assert got == records
     assert (str(info.value) if message else None) == message
+
+
+# ---------------------------------------------------------------------------
+# the loader, which checks a chunk of records at once, against the loop that
+# checked one record at a time
+
+
+def reference_record(record):
+    """A record's sentence by the checks the loader ran one record at a time."""
+    if not isinstance(record, dict):
+        raise CorpusFormatError("record is not an object")
+    if not record.keys() <= {"id", "lang", "tokens", "emotion", "mask", "origin", "bilingual"}:
+        unknown = record.keys() - {"id", "lang", "tokens", "emotion", "mask", "origin", "bilingual"}
+        raise CorpusFormatError(f"unknown field {sorted(unknown)[0]!r}")
+    for req in ("id", "lang", "tokens", "origin"):
+        if req not in record:
+            raise CorpusFormatError(f"missing field {req!r}")
+    tokens = record["tokens"]
+    try:
+        if not isinstance(tokens, list):
+            raise TypeError
+        joined = "\0".join(tokens)
+    except TypeError:
+        raise CorpusFormatError("field 'tokens' must be a list of strings") from None
+    mask = record.get("mask")
+    if mask is not None and not (isinstance(mask, list) and set(map(type, mask)) <= {int}):
+        raise CorpusFormatError("field 'mask' must be a list of 0/1 integers")
+    bilingual = record.get("bilingual", False)
+    if type(bilingual) is not bool:
+        raise CorpusFormatError("field 'bilingual' must be true or false")
+    sid = str(record["id"])
+    for name, text in (("id", sid), ("tokens", joined)):
+        if any("\ud800" <= ch <= "\udfff" for ch in text):
+            raise CorpusFormatError(f"field {name!r} holds an unpaired surrogate escape")
+    tokens = [unicodedata.normalize("NFC", t) for t in tokens]
+    sent = AnnotatedSentence(
+        id=unicodedata.normalize("NFC", sid),
+        tokens=tokens,
+        language=str(record["lang"]),
+        origin=DatasetTag.from_string(str(record["origin"])),
+        emotion=None if record.get("emotion") is None else EmotionLabel.from_string(record["emotion"]),
+        trigger_mask=mask,
+        bilingual=bilingual,
+    )
+    if not sent.id:
+        raise CorpusFormatError("empty id")
+    if not sent.tokens:
+        raise CorpusFormatError("tokens must be non-empty")
+    for tok in sent.tokens:
+        if not tok:
+            raise CorpusFormatError("empty token")
+        if any(ch.isspace() for ch in tok):
+            raise CorpusFormatError(f"token contains whitespace: {tok!r}")
+    if sent.language not in LANGUAGES:
+        raise CorpusFormatError(f"unknown language {sent.language!r}; expected one of {LANGUAGES}")
+    if mask is not None:
+        if len(mask) != len(sent.tokens):
+            raise CorpusFormatError("mask length mismatch")
+        if mask.count(0) + mask.count(1) != len(mask):
+            raise CorpusFormatError("mask values must be 0 or 1")
+    if sent.origin is DatasetTag.D_S and sent.language != "en":
+        raise CorpusFormatError("D_S sentences must have language 'en'")
+    if sent.origin is DatasetTag.D_T and sent.language == "en":
+        raise CorpusFormatError("D_T sentences must have a non-English language")
+    return sent
+
+
+def load_reference(path, format="jsonl", seen=None):
+    """``load_corpus`` as one loop that checks each record as it is read."""
+    path = Path(path)
+    records = read_jsonl(path) if format == "jsonl" else corpus_module._read_tsv(path)
+    seen = {} if seen is None else seen
+    sentences = []
+    for lineno, record in records:
+        try:
+            sent = reference_record(record)
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(f"{path}: {exc} at line {lineno}") from None
+        check_new_id(seen, sent.id, path, lineno)
+        sentences.append(sent)
+    return Corpus(sentences=sentences)
+
+
+def _loaded(load, paths, format):
+    """The sentences of files loaded one after another with one ``seen``, or the error."""
+    seen = {}
+    try:
+        return "ok", [load(path, format=format, seen=seen).sentences for path in paths]
+    except Exception as exc:  # the type and text are what is compared
+        return "error", type(exc), str(exc)
+
+
+# Faults beyond FAULTS that a record can carry.
+MORE_FAULTS = {
+    "not-an-object": lambda r, draw: draw(st.sampled_from([[1], "x", None, 3])),
+    "surrogate-id": lambda r, draw: {**r, "id": "a\ud800"},
+    "surrogate-token": lambda r, draw: {**r, "tokens": ["\udc00b"] + r["tokens"]},
+    "whitespace-token": lambda r, draw: {**r, "tokens": r["tokens"] + ["a\u3000b"],
+                                         **({"mask": r["mask"] + [0]} if "mask" in r else {})},
+    "empty-token": lambda r, draw: {**r, "tokens": [""] + r["tokens"],
+                                    **({"mask": [0] + r["mask"]} if "mask" in r else {})},
+    "decomposed": lambda r, draw: {**r, "id": r["id"] + "e\u0301",
+                                   "tokens": ["é"] + r["tokens"],
+                                   **({"mask": [0] + r["mask"]} if "mask" in r else {})},
+}
+
+
+# A line's defects, beside a record's faults; "blank" is no defect.
+LINE_DEFECTS = {
+    "bad-json": lambda line, draw: draw(st.sampled_from([b'{"id": \n', b"[1,]\n", b'{"id": 1} x\n'])),
+    "not-utf8": lambda line, draw: line[:-2] + b"\xe9" + line[-2:],
+    "blank": lambda line, draw: b" \t\n" + line,
+}
+
+
+def jsonl_text(records, defects, draw) -> bytes:
+    """JSONL lines of the records, with each record's faults and line defects."""
+    lines = []
+    for record, defect in zip(records, defects):
+        if defect in FAULTS:
+            if defect.startswith("mask") and "mask" not in record:
+                record["mask"] = [0] * len(record["tokens"])
+            FAULTS[defect](record, draw)
+        elif defect in MORE_FAULTS:
+            record = MORE_FAULTS[defect](record, draw)
+        line = json.dumps(record).encode() + b"\n"
+        lines.append(LINE_DEFECTS[defect](line, draw) if defect in LINE_DEFECTS else line)
+    return b"".join(lines)
+
+
+# A TSV sentence's defects: each changes the header items or the token rows.
+TSV_DEFECTS = {
+    "unknown-item": lambda items, rows: items.append("extra=1"),
+    "missing-item": lambda items, rows: items.pop(1),
+    "malformed-item": lambda items, rows: items.append("junk"),
+    "origin": lambda items, rows: items.append("origin=D_X"),
+    "lang": lambda items, rows: items.append("lang=xx"),
+    "mismatched": lambda items, rows: items.append("lang=es"),
+    "emotion": lambda items, rows: items.append("emotion=joy"),
+    "bilingual": lambda items, rows: items.append("bilingual=yes"),
+    "no-rows": lambda items, rows: rows.clear(),
+    "three-columns": lambda items, rows: rows.append("x\t0\t1"),
+    "mask-value": lambda items, rows: rows.append("x\t2"),
+    "mixed-columns": lambda items, rows: rows.extend(["x", "y\t1"]),
+    "whitespace-token": lambda items, rows: rows.append("a\u3000b"),
+    "decomposed": lambda items, rows: rows.append("e\u0301"),
+    "orphan-row": lambda items, rows: rows.extend(["", "orphan"]),
+    "not-utf8": lambda items, rows: rows.append("caf\udce9"),
+}
+
+
+def tsv_text(records, defects, draw) -> bytes:
+    """TSV sentences of the records, each with its defect; a later header item
+    of the same key overrides an earlier one."""
+    blocks = []
+    for record, defect in zip(records, defects):
+        items = [f"id={record['id']}", f"lang={record['lang']}", f"origin={record['origin']}"]
+        if record.get("emotion"):
+            items.append(f"emotion={record['emotion']}")
+        rows = record["tokens"] if "mask" not in record else [
+            f"{token}\t{value}" for token, value in zip(record["tokens"], record["mask"])]
+        if defect in TSV_DEFECTS:
+            TSV_DEFECTS[defect](items, rows)
+        blocks.append("\n".join(["# " + " ".join(items)] + rows) + "\n\n")
+    return "".join(blocks).encode("utf-8", "surrogateescape")
+
+
+@st.composite
+def corpus_files(draw, format):
+    """One to three corpus files of up to 12 records each, with no, one or
+    several defects: a fault of a record, of a line, or an id used before."""
+    texts, ids = [], []
+    defect_names = (sorted(FAULTS) + sorted(MORE_FAULTS) + sorted(LINE_DEFECTS)
+                    if format == "jsonl" else sorted(TSV_DEFECTS))
+    for _ in range(draw(st.integers(1, 3))):
+        records = []
+        for _ in range(draw(st.integers(0, 12))):
+            tokens = draw(st.lists(st.sampled_from(["a", "bc", "é", "e\u0301", "Zz"]),
+                                   min_size=1, max_size=4))
+            ids.append(f"s{len(ids)}")
+            record = {"id": ids[-1], "lang": "en", "tokens": tokens, "origin": "D_S"}
+            if draw(st.booleans()):
+                record["mask"] = draw(st.lists(st.integers(0, 1), min_size=len(tokens),
+                                               max_size=len(tokens)))
+            if draw(st.booleans()):
+                record["emotion"] = draw(st.sampled_from(["Joy", "Fear", None]))
+            records.append(record)
+        defects = [None] * len(records)
+        for _ in range(draw(st.integers(0, 3)) if records else 0):
+            at = draw(st.integers(0, len(records) - 1))
+            defects[at] = draw(st.sampled_from(defect_names + ["duplicate"]))
+            if defects[at] == "duplicate":
+                records[at]["id"] = draw(st.sampled_from(ids))
+        texts.append((jsonl_text if format == "jsonl" else tsv_text)(records, defects, draw))
+    return texts
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), format=st.sampled_from(["jsonl", "tsv"]),
+       chunk=st.sampled_from([1, 2, 3, 256]))
+def test_loading_by_chunks_equals_loading_record_by_record(data, format, chunk):
+    """Files that span many chunks: the same sentences, or the same error."""
+    texts = data.draw(corpus_files(format))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(corpus_module, "_CHUNK_RECORDS", chunk):
+        paths = [Path(tmp) / f"c{i}.{format}" for i in range(len(texts))]
+        for path, text in zip(paths, texts):
+            path.write_bytes(text)
+        assert _loaded(load_corpus, paths, format) == _loaded(load_reference, paths, format)
+
+
+@pytest.mark.parametrize("format", ["jsonl", "tsv"])
+def test_the_first_of_several_defects_in_file_order_is_reported(tmp_path, monkeypatch, format):
+    monkeypatch.setattr(corpus_module, "_CHUNK_RECORDS", 4)
+    good = [{"id": f"s{i}", "lang": "en", "tokens": ["x"], "origin": "D_S"} for i in range(12)]
+    good[5]["id"] = "s1"          # a duplicate id: the rule checked last, on the first bad record
+    good[6]["lang"] = "xx"        # earlier rules broken by later records of the same chunk
+    good[7]["origin"] = "D_X"
+    good[9]["tokens"] = ["a b"]   # and by a record of a later chunk
+    path = tmp_path / f"c.{format}"
+    if format == "jsonl":
+        write_jsonl(good, path)
+        line, first = 6, 2
+    else:
+        path.write_text("".join(
+            f"# id={r['id']} lang={r['lang']} origin={r['origin']}\n{r['tokens'][0]}\n\n"
+            for r in good), encoding="utf-8")
+        line, first = 16, 4
+    with pytest.raises(CorpusFormatError) as info:
+        load_corpus(path, format=format)
+    assert str(info.value) == f"{path} line {line}: duplicate id 's1', first at line {first}"
+
+
+# One fault each, in the order the loader checks them; a field set to _DROP is left out.
+_DROP = object()
+ORDERED_FAULTS = {
+    "unknown-field": {"extra": 1},
+    "missing-field": {"lang": _DROP},
+    "tokens-type": {"tokens": "a b"},
+    "token-type": {"tokens": ["a", 1]},
+    "mask-type": {"mask": [0, True]},
+    "bilingual": {"bilingual": 0},
+    "surrogate-id": {"id": "s\ud800"},
+    "surrogate-token": {"tokens": ["a", "\udc00"]},
+    "origin": {"origin": "D_X"},
+    "emotion": {"emotion": "joy"},
+    "empty-id": {"id": ""},
+    "no-tokens": {"tokens": []},
+    "empty-token": {"tokens": ["a", ""]},
+    "whitespace-token": {"tokens": ["a", "b c"]},
+    "lang": {"lang": "xx"},
+    "mask-length": {"mask": [0]},
+    "mask-value": {"mask": [0, 2]},
+    "mismatched": {"lang": "es"},
+    "duplicate": {"id": "s0"},
+}
+
+
+def _faulty_file(path, *faults):
+    """A valid record, then a record with the faults, the later overriding the earlier."""
+    valid = {"id": "s0", "lang": "en", "tokens": ["a", "b"], "mask": [0, 1], "emotion": "Joy",
+             "origin": "D_S"}
+    record = {**valid, "id": "s1"}
+    for fault in faults:
+        record.update(ORDERED_FAULTS[fault])
+    record = {key: value for key, value in record.items() if value is not _DROP}
+    path.write_text(json.dumps(valid) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("chunk", [1, 256])
+def test_a_record_with_two_faults_reports_the_rule_checked_first(tmp_path, monkeypatch, chunk):
+    """Every ordered pair of faults in one record: the error of a record-at-a-time
+    reading, which for faults in two fields is the error of the one checked first."""
+    monkeypatch.setattr(corpus_module, "_CHUNK_RECORDS", chunk)
+    names = list(ORDERED_FAULTS)
+    for first, second in itertools.permutations(names, 2):
+        path = _faulty_file(tmp_path / "two.jsonl", first, second)
+        got = _loaded(load_corpus, [path], "jsonl")
+        assert got == _loaded(load_reference, [path], "jsonl"), (first, second)
+        if not ORDERED_FAULTS[first].keys() & ORDERED_FAULTS[second].keys():
+            one = _faulty_file(tmp_path / "one.jsonl", min(first, second, key=names.index))
+            want = _loaded(load_reference, [one], "jsonl")
+            assert got[2].replace("two.jsonl", "one.jsonl") == want[2], (first, second)
+
+
+# ---------------------------------------------------------------------------
+# writing a chunk of lines at a time
+
+# Text that JSON escapes or that UTF-8 writes in four bytes: quotes, controls,
+# the line and paragraph separators, and characters beyond the BMP.
+json_text = st.text(st.one_of(st.characters(blacklist_categories=("Cs",)),
+                              st.sampled_from(['"', "\\", "\n", "\x00", "\u2028", "\u2029",
+                                               "\U0001f600", "\U00010000"])), max_size=8)
+json_scalars = (st.none() | st.booleans() | json_text | st.floats()
+                | st.integers(-10**60, 10**60) | st.sampled_from([float("nan"), float("inf"),
+                                                                  -float("inf"), -0.0]))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=st.lists(st.dictionaries(st.one_of(json_text, st.integers(), st.booleans()),
+                                        json_values, max_size=4), max_size=8),
+       chunk=st.sampled_from([1, 3, 256]))
+def test_written_lines_are_json_dumps_lines(records, chunk):
+    want = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records).encode("utf-8")
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(corpus_module, "_CHUNK_RECORDS", chunk):
+        write_jsonl(records, Path(tmp) / "c.jsonl")
+        assert (Path(tmp) / "c.jsonl").read_bytes() == want
+    assert [encode_json(r) for r in records] == [json.dumps(r, ensure_ascii=False) for r in records]
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, b"x", 1j, {(1, 2): 3}])
+def test_a_value_json_cannot_write_is_the_type_error_of_json_dumps(tmp_path, value):
+    record = {"id": "a", "value": [value]}
+    with pytest.raises(TypeError) as want:
+        json.dumps(record, ensure_ascii=False)
+    with pytest.raises(TypeError) as got:
+        write_jsonl([{"id": "b"}, record], tmp_path / "c.jsonl")
+    assert str(got.value) == str(want.value)
+    with pytest.raises(TypeError) as got:
+        encode_json(record)
+    assert str(got.value) == str(want.value)
+
+
+def test_load_and_save_scratch_does_not_grow_with_the_corpus(tmp_path):
+    """A corpus four times as large loads and saves with the same scratch memory
+    above what the loaded corpus and its ids hold."""
+    scratch = []
+    for size in (1024, 4096):
+        path = tmp_path / f"c{size}.jsonl"
+        write_jsonl(({"id": f"s{i}", "lang": "en", "tokens": [f"w{i % 97}", "the", f"x{i}"] * 4,
+                      "mask": [0, 1, 0] * 4, "emotion": "Joy", "origin": "D_S"}
+                     for i in range(size)), path)
+        tracemalloc.start()
+        try:
+            seen = {}
+            corpus = load_corpus(path, seen=seen)
+            held, load_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            save_corpus(corpus, tmp_path / "out.jsonl")
+            save_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scratch.append((load_peak - held, save_peak - held))
+    (load_1x, save_1x), (load_4x, save_4x) = scratch
+    assert load_4x <= 1.1 * load_1x + 32 * 1024
+    assert save_4x <= 1.1 * save_1x + 32 * 1024

@@ -253,6 +253,18 @@ class TestAccumulatedImportance:
             tp = sum(1 for g, p in zip(gold, pred) if g and p)
             assert accumulated_importance(gold, att) == pytest.approx(tp / sum(pred))
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_same_float_sum_as_the_per_token_generator(self, data):
+        # Python's left-to-right float sum, bit for bit, over any values and mask.
+        n = data.draw(st.integers(1, 40))
+        values = data.draw(st.lists(st.floats(allow_nan=False, width=64), min_size=n, max_size=n))
+        gold = data.draw(st.lists(st.sampled_from([0, 1, 2, -1, True, False]), min_size=n,
+                                  max_size=n))
+        want = float(sum(v for g, v in zip(gold, values) if g == 1))
+        got = accumulated_importance(gold, Attributions(values=values))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
 
 class TestConfusionMatrix:
     def test_perfect_predictions_diagonal(self):

@@ -34,6 +34,12 @@ def test_every_cli_example_parses():
             pytest.fail(f"the README's command does not parse: {shlex.join(argv)}")
 
 
+def test_cli_examples_name_every_subcommand():
+    block = fenced_block("## CLI", "bash").replace("\\\n", " ")
+    named = [shlex.split(line)[1] for line in block.splitlines() if line.strip()]
+    assert sorted(set(named)) == sorted(cli.SUBCOMMANDS)
+
+
 def test_config_example_loads_with_every_setting(tmp_path):
     config = tmp_path / "mt.yaml"
     config.write_text(fenced_block("### Configuration file", "yaml"), encoding="utf-8")
